@@ -26,7 +26,7 @@ fn main() {
 
     println!("== Ablation 1: free-block count α ({bench}) ==");
     let alphas = [1u64, 4, 16, 64];
-    let alpha_runs = tdc_util::pool::run_tasks(&alphas, threads, |_, &alpha| {
+    let (alpha_runs, _) = tdc_util::pool::run_tasks(&alphas, threads, |_, &alpha| {
         run_single_custom(bench, &cfg, move |mut p| {
             p.alpha = alpha;
             Box::new(TaglessCache::new(&p, VictimPolicy::Fifo))
@@ -44,7 +44,7 @@ fn main() {
 
     println!("\n== Ablation 2: TLB reach (L2 TLB entries, {bench}) ==");
     let tlb_sizes = [128u32, 256, 512, 1024, 2048];
-    let tlb_runs = tdc_util::pool::run_tasks(&tlb_sizes, threads, |_, &entries| {
+    let (tlb_runs, _) = tdc_util::pool::run_tasks(&tlb_sizes, threads, |_, &entries| {
         run_single_custom(bench, &cfg, move |mut p| {
             p.mmu.l2_entries = entries;
             Box::new(TaglessCache::new(&p, VictimPolicy::Fifo))

@@ -240,42 +240,13 @@ impl SystemParams {
     }
 }
 
-/// One memory reference for the batched entry point
-/// ([`L3System::translate_access_batch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessRequest {
-    /// Issuing core.
-    pub core: usize,
-    /// Virtual page accessed.
-    pub vpn: Vpn,
-    /// Block index within the page (0..64).
-    pub block: u64,
-    /// Whether the reference is a write.
-    pub is_write: bool,
-}
-
-/// Combined result of a fused translate+access
-/// ([`L3System::translate_access`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AccessOutcome {
-    /// The translation half (frame, penalty, hit bit).
-    pub translation: TranslationOutcome,
-    /// The memory half, issued after the translation penalty.
-    pub memory: MemoryOutcome,
-    /// Cycle the critical block arrived: `now + penalty + latency`.
-    pub done: Cycle,
-}
-
 /// Interface every DRAM cache organization implements.
 ///
 /// The driving system calls [`L3System::translate`] for every memory
 /// reference (the TLB sits in front of the on-die caches) and
 /// [`L3System::access`] only for references that missed in L2.
 /// Writebacks from L2 arrive via [`L3System::writeback`] and never stall
-/// the core. Harness kernels that drive a whole reference stream can use
-/// [`L3System::translate_access_batch`] to amortize the dynamic dispatch
-/// of a `&mut dyn L3System` over the batch instead of paying two virtual
-/// calls per reference.
+/// the core.
 pub trait L3System {
     /// Organization name for reports (e.g. `"cTLB"`).
     fn name(&self) -> &'static str;
@@ -292,48 +263,6 @@ pub trait L3System {
 
     /// Accepts a dirty-line writeback from L2 (posted; no stall).
     fn writeback(&mut self, now: Cycle, core: usize, frame: Frame, nc: bool, block: u64);
-
-    /// Fused translate-then-access: the access is issued once the
-    /// translation penalty has elapsed. Organizations inherit this
-    /// default; it exists so batch drivers make one virtual call per
-    /// reference instead of two.
-    fn translate_access(&mut self, now: Cycle, req: AccessRequest) -> AccessOutcome {
-        let translation = self.translate(now, req.core, req.vpn, req.is_write);
-        let issue = now + translation.penalty;
-        let memory = self.access(issue, req.core, translation.frame, translation.nc, req.block);
-        AccessOutcome {
-            translation,
-            memory,
-            done: issue + memory.latency,
-        }
-    }
-
-    /// Batched entry point: runs `reqs` in order, spacing consecutive
-    /// issues `gap` cycles apart, appending one [`AccessOutcome`] per
-    /// request to `out`. Returns the cycle the last access completed
-    /// (`now` when `reqs` is empty). One dynamic dispatch reaches the
-    /// whole batch, which is what the access-path harness kernels
-    /// measure.
-    fn translate_access_batch(
-        &mut self,
-        now: Cycle,
-        gap: Cycle,
-        reqs: &[AccessRequest],
-        out: &mut Vec<AccessOutcome>,
-    ) -> Cycle {
-        // The outcome buffer is caller-owned and reused across batches,
-        // so steady-state calls land in existing capacity.
-        out.reserve(reqs.len()); // tdc-lint: allow(hot-path-alloc) caller-reused buffer
-        let mut t = now;
-        let mut done = now;
-        for &req in reqs {
-            let o = self.translate_access(t, req);
-            done = o.done;
-            out.push(o); // tdc-lint: allow(hot-path-alloc) capacity reserved above
-            t += gap;
-        }
-        done
-    }
 
     /// Common statistics.
     fn stats(&self) -> &L3Stats;

@@ -1074,43 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_entry_point_matches_split_calls() {
-        use crate::l3::AccessRequest;
-        // The fused/batched path must produce exactly the outcomes of
-        // separate translate() + access() calls on an identical system.
-        let reqs: Vec<AccessRequest> = (0..32u64)
-            .map(|i| AccessRequest {
-                core: (i % 2) as usize,
-                vpn: Vpn(i % 12),
-                block: i % 64,
-                is_write: false,
-            })
-            .collect();
-        let gap = 50;
-        let mut split = tagless(64);
-        let mut expected = Vec::new();
-        let mut t = 0;
-        for &r in &reqs {
-            let tr = split.translate(t, r.core, r.vpn, r.is_write);
-            let m = split.access(t + tr.penalty, r.core, tr.frame, tr.nc, r.block);
-            expected.push((tr, m, t + tr.penalty + m.latency));
-            t += gap;
-        }
-        let mut batched = tagless(64);
-        let sys: &mut dyn L3System = &mut batched;
-        let mut out = Vec::new();
-        let done = sys.translate_access_batch(0, gap, &reqs, &mut out);
-        assert_eq!(out.len(), reqs.len());
-        for (o, (tr, m, d)) in out.iter().zip(&expected) {
-            assert_eq!(o.translation, *tr);
-            assert_eq!(o.memory, *m);
-            assert_eq!(o.done, *d);
-        }
-        assert_eq!(done, expected.last().unwrap().2);
-        assert_eq!(sys.translate_access_batch(done, gap, &[], &mut out), done);
-    }
-
-    #[test]
     fn name_reflects_policy() {
         assert_eq!(tagless(16).name(), "cTLB");
         let lru = TaglessCache::new(&small_params(16), VictimPolicy::Lru);

@@ -352,7 +352,7 @@ fn measure_figure_cells(
     let mut series: Vec<Vec<f64>> = vec![Vec::new(); cells.len()];
     while series.iter().any(|s| timing.wants_more(s)) {
         let quiet = |_: usize, _: usize, _: &str, _: std::time::Duration| {};
-        let batch = crate::pool::run_batch(&cells, jobs, &quiet);
+        let (batch, _) = crate::pool::run_batch(&cells, jobs, &quiet);
         for (i, done) in batch.iter().enumerate() {
             if let Err(e) = &done.result {
                 return Err(format!("figure cell {} failed: {e}", cells[i].label()));

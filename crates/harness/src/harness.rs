@@ -154,7 +154,7 @@ impl Harness {
             let batch: Vec<Job> = missing.iter().map(|(_, j)| j.clone()).collect();
             let verbose = self.verbose;
             let (completed, telemetry) =
-                pool::run_batch_telemetry(&batch, self.threads, &|done, total, label, took| {
+                pool::run_batch(&batch, self.threads, &|done, total, label, took| {
                     if verbose {
                         eprintln!("[{done:>4}/{total}] {label:<40} {:>8.2}s", took.as_secs_f64());
                     }

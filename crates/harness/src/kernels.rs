@@ -31,9 +31,7 @@ use std::hint::black_box;
 // deterministic artifacts.
 use std::time::Instant; // tdc-lint: allow(time-source)
 use tdc_dram::{AccessKind, DramConfig, DramController};
-use tdc_dram_cache::{
-    AccessRequest, L3System, SramTagCache, SystemParams, TaglessCache, VictimPolicy,
-};
+use tdc_dram_cache::{L3System, SramTagCache, SystemParams, TaglessCache, VictimPolicy};
 use tdc_sram_cache::{CacheGeometry, Replacement, SetAssocCache};
 use tdc_trace::{profiles, SyntheticWorkload, TraceSource};
 use tdc_util::obs::LogHistogram;
@@ -192,12 +190,6 @@ pub fn micro_kernels() -> Vec<Kernel> {
             factory: k_tagless_cold_fill,
         },
         Kernel {
-            group: "access_path",
-            name: "tagless_batch_hit",
-            iters: 20_000,
-            factory: k_tagless_batch_hit,
-        },
-        Kernel {
             group: "set_assoc_cache",
             name: "lru",
             iters: 2_000_000,
@@ -330,35 +322,6 @@ fn k_sram_tag_warm_hit() -> Box<dyn FnMut() -> u64> {
         now += 200;
         v += 1;
         m.latency
-    })
-}
-
-/// The batched entry point: 64 warm hits per call through one
-/// `&mut dyn L3System` dispatch ([`L3System::translate_access_batch`]),
-/// measuring the amortized per-reference cost of the fused path.
-fn k_tagless_batch_hit() -> Box<dyn FnMut() -> u64> {
-    let p = small_params();
-    let mut l3 = TaglessCache::new(&p, VictimPolicy::Fifo);
-    for v in 0..16u64 {
-        l3.translate(v * 10_000, 0, Vpn(v), false);
-    }
-    let reqs: Vec<AccessRequest> = (0..64u64)
-        .map(|i| AccessRequest {
-            core: 0,
-            vpn: Vpn(i % 16),
-            block: i % 64,
-            is_write: false,
-        })
-        .collect();
-    let mut out = Vec::with_capacity(reqs.len());
-    let mut now = 1_000_000u64;
-    Box::new(move || {
-        out.clear();
-        let sys: &mut dyn L3System = &mut l3;
-        let done = sys.translate_access_batch(now, 200, &reqs, &mut out);
-        now += 64 * 200;
-        black_box(&out);
-        done
     })
 }
 
@@ -509,26 +472,27 @@ fn k_lint_workspace_scan() -> Box<dyn FnMut() -> u64> {
     })
 }
 
-/// The work-stealing scheduler under a deliberately skewed task-cost
+/// The slice-stealing scheduler under a deliberately skewed task-cost
 /// distribution (DESIGN.md §16): 32 tasks on 4 workers where the first
-/// seeded slice is all boulders and the rest are pebbles, so finishing
+/// home slice is all boulders and the rest are pebbles, so finishing
 /// in balanced time requires the pebble workers to steal the boulder
 /// owner's leftovers. The kernel times one whole `run_tasks` batch —
-/// spawn, seeded-slice dispatch, steal sweeps, join — and the sum it
-/// returns is schedule-independent, so the value stream stays
-/// deterministic while the regression gate watches the scheduling
-/// cost. If stealing quietly stopped working, the batch would
-/// serialize behind the boulder slice and trip the gate.
+/// spawn, slice claims, the steal pass, telemetry, join and the
+/// scatter by index — and the sum it returns is schedule-independent,
+/// so the value stream stays deterministic while the regression gate
+/// watches the scheduling cost. If stealing quietly stopped working,
+/// the batch would serialize behind the boulder slice and trip the
+/// gate.
 fn k_pool_steal_imbalanced() -> Box<dyn FnMut() -> u64> {
     // 8 boulders followed by 24 pebbles: with 4 workers and contiguous
     // seeding, worker 0 owns every boulder.
     let costs: Vec<u64> = (0..32u64).map(|i| if i < 8 { 32_000 } else { 500 }).collect();
-    // The batch setup (deques, result slots) and per-task spin are the
-    // measured scheduler cost; this closure is the pool's own gate, not
-    // a simulator hot path.
+    // The batch setup (slice cursors, result vectors) and per-task spin
+    // are the measured scheduler cost; this closure is the pool's own
+    // gate, not a simulator hot path.
     // tdc-lint: cold
     Box::new(move || {
-        let parts = tdc_util::pool::run_tasks(&costs, 4, |i, &spin| {
+        let (parts, _) = tdc_util::pool::run_tasks(&costs, 4, |i, &spin| {
             let mut acc = i as u64 + 1;
             for k in 0..spin {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);

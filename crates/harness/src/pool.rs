@@ -1,9 +1,9 @@
 //! The experiment-job front end of the shared worker pool.
 //!
 //! Scheduling is delegated to the generic [`tdc_util::pool::run_tasks`]
-//! work-stealing scheduler (per-worker deques over `std::thread::scope`,
-//! DESIGN.md §16; no external crates); this module only adds the
-//! `Job`-specific pieces: per-job
+//! slice-stealing scheduler (per-worker slice cursors over
+//! `std::thread::scope`, DESIGN.md §16; no external crates); this module
+//! only adds the `Job`-specific pieces: per-job
 //! wall-clock timing and the progress callback. Scheduling order is
 //! **irrelevant to results**: every job is a pure function of its own
 //! fields (all RNG streams derive from the job's seed), so the batch's
@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant}; // tdc-lint: allow(time-source)
 use tdc_core::experiment::Job;
 use tdc_core::RunReport;
+use tdc_util::obs::PoolTelemetry;
 
 /// One finished cell: the job's result plus its wall-clock cost.
 pub struct Completed {
@@ -26,41 +27,23 @@ pub struct Completed {
 }
 
 /// Runs `jobs` on `threads` worker threads and returns one [`Completed`]
-/// per job, **in input order**. `progress` is invoked after each
-/// completion (from worker threads, serialized) with `(done, total,
-/// label, elapsed)`.
+/// per job, **in input order**, plus the scheduler telemetry the pool
+/// collected ([`PoolTelemetry`]: per-worker busy/idle time with
+/// owned-vs-stolen task attribution, steal attempt/failure counters,
+/// source-slice depth samples, and per-task spans for the Perfetto pool
+/// track). The telemetry is a side channel about the schedule, never an
+/// input to any job. `progress` is invoked after each completion with
+/// `(done, total, label, elapsed)`, from the worker threads and possibly
+/// concurrently: each call sees a distinct `done` in `1..=total`, but
+/// calls may arrive out of order.
 pub fn run_batch(
     jobs: &[Job],
     threads: usize,
     progress: &(dyn Fn(usize, usize, &str, Duration) + Sync),
-) -> Vec<Completed> {
+) -> (Vec<Completed>, PoolTelemetry) {
     let total = jobs.len();
     let done = AtomicUsize::new(0);
     tdc_util::pool::run_tasks(jobs, threads, |_, job| {
-        let start = Instant::now(); // tdc-lint: allow(time-source)
-        let result = job.execute();
-        let elapsed = start.elapsed();
-        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-        progress(finished, total, &job.label(), elapsed);
-        Completed { result, elapsed }
-    })
-}
-
-/// Like [`run_batch`], additionally returning the scheduler telemetry
-/// ([`tdc_util::obs::PoolTelemetry`]) the underlying pool collected:
-/// per-worker busy/idle time with owned-vs-stolen task attribution,
-/// steal attempt/failure counters, source-deque depth samples, and
-/// per-task spans for the Perfetto pool track. Results are identical to
-/// [`run_batch`]'s — the telemetry is a side channel about the
-/// schedule, never an input to any job.
-pub fn run_batch_telemetry(
-    jobs: &[Job],
-    threads: usize,
-    progress: &(dyn Fn(usize, usize, &str, Duration) + Sync),
-) -> (Vec<Completed>, tdc_util::obs::PoolTelemetry) {
-    let total = jobs.len();
-    let done = AtomicUsize::new(0);
-    tdc_util::pool::run_tasks_telemetry(jobs, threads, |_, job| {
         let start = Instant::now(); // tdc-lint: allow(time-source)
         let result = job.execute();
         let elapsed = start.elapsed();
@@ -96,8 +79,8 @@ mod tests {
     fn batch_results_are_in_input_order_and_thread_invariant() {
         let jobs = tiny_jobs();
         let quiet = |_: usize, _: usize, _: &str, _: Duration| {};
-        let serial = run_batch(&jobs, 1, &quiet);
-        let parallel = run_batch(&jobs, 4, &quiet);
+        let (serial, _) = run_batch(&jobs, 1, &quiet);
+        let (parallel, _) = run_batch(&jobs, 4, &quiet);
         assert_eq!(serial.len(), jobs.len());
         for (s, p) in serial.iter().zip(&parallel) {
             let (s, p) = (s.result.as_ref().unwrap(), p.result.as_ref().unwrap());
@@ -118,7 +101,7 @@ mod tests {
             OrgKind::NoL3,
             cfg,
         )];
-        let out = run_batch(&jobs, 2, &|_, _, _, _| {});
+        let (out, _) = run_batch(&jobs, 2, &|_, _, _, _| {});
         assert!(out[0].result.is_err());
     }
 

@@ -450,7 +450,7 @@ fn bench(opts: &Options) -> i32 {
 fn run_pass(addr: &str, mix: &[Request], clients: usize) -> Pass {
     // Wall-clock and latency here are bench-report telemetry only.
     let started = std::time::Instant::now(); // tdc-lint: allow(time-source)
-    let outcomes = run_tasks(mix, clients, |_, req| {
+    let (outcomes, _) = run_tasks(mix, clients, |_, req| {
         let sent = std::time::Instant::now(); // tdc-lint: allow(time-source)
         let ok = matches!(tdc_serve::exchange(addr, req), Ok(resp) if resp.status == 200);
         (ok, sent.elapsed().as_secs_f64() * 1e6)

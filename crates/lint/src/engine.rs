@@ -352,7 +352,7 @@ pub fn run(cfg: &Config) -> io::Result<LintReport> {
     // through the shared worker pool; results come back in input
     // (sorted-path) order.
     type Scanned = Result<(String, ScannedFile, ParsedFile, Vec<RawFinding>), String>;
-    let scanned: Vec<Scanned> = tdc_util::pool::run_tasks(&paths, cfg.jobs, |_, rel| {
+    let (scanned, _): (Vec<Scanned>, _) = tdc_util::pool::run_tasks(&paths, cfg.jobs, |_, rel| {
         let text =
             fs::read_to_string(cfg.root.join(rel)).map_err(|e| format!("{rel}: {e}"))?;
         let file = scan(&text);

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use tdc_util::http::{read_request, write_response, Request, Response};
 use tdc_util::obs::{EventKind, EventLog, LogHistogram};
-use tdc_util::{run_tasks_telemetry, Json};
+use tdc_util::{run_tasks, Json};
 
 use crate::store::ResultStore;
 use crate::wire;
@@ -69,7 +69,7 @@ pub trait Engine: Send + Sync + 'static {
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Worker threads per sweep (feeds
-    /// [`tdc_util::pool::run_tasks_telemetry`]).
+    /// [`tdc_util::pool::run_tasks`]).
     pub jobs: usize,
     /// Admission-queue capacity: the maximum number of concurrently
     /// admitted work requests (`/sweep`, `/figure`); beyond it the
@@ -567,7 +567,7 @@ impl<E: Engine> Server<E> {
             keys.iter().map(|k| self.cell(rid, k)).collect::<Vec<_>>()
         } else {
             let (results, telemetry) =
-                run_tasks_telemetry(keys, self.cfg.jobs, |_, k| self.cell(rid, k));
+                run_tasks(keys, self.cfg.jobs, |_, k| self.cell(rid, k));
             self.record_pool(&telemetry);
             results
         };

@@ -25,11 +25,11 @@
 //!   telemetry and Chrome trace-event export.
 //! * [`pool`] — a generic scoped worker pool ([`run_tasks`]) shared by
 //!   the experiment harness, the serve daemon, and the lint pass.
-//!   Scheduling is work stealing (DESIGN.md §16): per-worker
-//!   [`pool::StealDeque`]s seeded with deterministic slices, LIFO
-//!   local pops, FIFO steals — and results still come back in input
-//!   order regardless of thread count or steal interleaving. A
-//!   telemetry variant ([`pool::run_tasks_telemetry`]) also reports
+//!   Scheduling is slice stealing (DESIGN.md §16): each worker owns a
+//!   contiguous slice of the task indices behind one atomic
+//!   [`pool::SliceCursor`], drains it, then drains the other slices in
+//!   one seeded pass — and results still come back in input order
+//!   regardless of thread count or steal interleaving, next to
 //!   per-worker scheduler counters, including steal attribution.
 //! * [`obs`] — the observability layer (DESIGN.md §13): log-scale
 //!   histograms ([`LogHistogram`]), the wall-time phase profiler
@@ -78,7 +78,7 @@ pub use json::{Json, JsonError};
 pub use mem::{CAddr, Cpn, Cycle, PAddr, Ppn, VAddr, Vpn};
 pub use mem::{BLOCKS_PER_PAGE, BLOCK_SHIFT, BLOCK_SIZE, PAGE_SHIFT, PAGE_SIZE};
 pub use obs::{EventKind, LogHistogram, PoolTelemetry, ProfProbe, ProfRecorder};
-pub use pool::{run_tasks, run_tasks_telemetry, Steal, StealDeque};
+pub use pool::run_tasks;
 pub use probe::{EventGroup, NoProbe, Phase, Probe, ProbeEvent, Recorder, SharedProbe};
 pub use rng::{Pcg32, Rng, SplitMix64};
 pub use stats::{geomean, Histogram, RunningStats};

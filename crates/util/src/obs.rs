@@ -18,8 +18,8 @@
 //!   monomorphized no-ops under [`crate::probe::NoProbe`]).
 //! * [`PoolTelemetry`] — per-worker scheduler counters (tasks run
 //!   split owned vs stolen, steal attempt/failure counts, busy/idle
-//!   ns, source-deque depth samples, per-task spans) collected by
-//!   [`crate::pool::run_tasks_telemetry`] and rendered as a Perfetto
+//!   ns, source-slice depth samples, per-task spans) collected by
+//!   [`crate::pool::run_tasks`] and rendered as a Perfetto
 //!   track by [`pool_trace_json`]; serialized fields fixed by
 //!   [`POOL_FIELDS`] and lint-pinned to DESIGN.md §16 (`pool-schema`
 //!   rule).
@@ -392,8 +392,7 @@ pub const POOL_FIELDS: [&str; 11] = [
     "steal_failures",
 ];
 
-/// Per-worker counters from one [`crate::pool::run_tasks_telemetry`]
-/// batch.
+/// Per-worker counters from one [`crate::pool::run_tasks`] batch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerTelemetry {
     /// Tasks this worker completed (`owned + stolen`).
@@ -402,15 +401,17 @@ pub struct WorkerTelemetry {
     /// wall time so `busy_ns + idle_ns == wall_ns` by construction.
     pub busy_ns: u64,
     /// Pool wall time minus busy time: time this worker sat idle or
-    /// hunting for work (startup skew, steal sweeps, straggler tail).
+    /// hunting for work (startup skew, the steal pass, straggler tail).
     pub idle_ns: u64,
-    /// Tasks taken from this worker's own seeded deque.
+    /// Tasks claimed from this worker's own home slice.
     pub owned: u64,
-    /// Tasks stolen from other workers' deques.
+    /// Tasks claimed from other workers' slices.
     pub stolen: u64,
     /// Steal attempts made (successful or not).
     pub steal_attempts: u64,
-    /// Steal attempts that came back empty or lost a claim race.
+    /// Steal attempts that found the probed slice dry. A claim cannot
+    /// lose a race, and one pass probes each other slice until it is
+    /// dry, so every worker records exactly one per other worker.
     pub steal_failures: u64,
 }
 
@@ -425,8 +426,8 @@ pub struct TaskSpan {
     pub start_ns: u64,
     /// Task duration, ns.
     pub dur_ns: u64,
-    /// Whether the task was stolen rather than taken from the running
-    /// worker's own deque.
+    /// Whether the task was stolen rather than claimed from the running
+    /// worker's own slice.
     pub stolen: bool,
 }
 
@@ -437,9 +438,9 @@ pub struct PoolTelemetry {
     pub workers: Vec<WorkerTelemetry>,
     /// Every task's execution window, sorted by `(start_ns, index)`.
     pub spans: Vec<TaskSpan>,
-    /// Samples of the source deque's remaining depth, taken at each
-    /// successful dequeue (the claimed task's owning worker's deque,
-    /// whether the claim was a local take or a steal).
+    /// Samples of the source slice's remaining depth, taken at each
+    /// successful claim (the unclaimed indices left behind the claimed
+    /// one in its home slice, whether the claim was owned or stolen).
     pub queue_depth: LogHistogram,
     /// Wall time of the whole batch, ns.
     pub wall_ns: u64,

@@ -1,163 +1,69 @@
-//! A std-only generic worker pool with a work-stealing scheduler.
+//! A std-only generic worker pool with a slice-stealing scheduler.
 //!
 //! [`run_tasks`] executes one closure call per input item across a fixed
-//! number of OS threads and returns the results **in input order**. It is
-//! the shared scheduler behind `tdc-harness`'s experiment batches,
-//! `tdc-serve`'s sweep endpoint, and `tdc-lint`'s parallel file scan.
+//! number of OS threads and returns the results **in input order**,
+//! together with the batch's scheduler telemetry. It is the shared
+//! scheduler behind `tdc-harness`'s experiment batches, `tdc-serve`'s
+//! sweep endpoint, and `tdc-lint`'s parallel file scan.
 //!
-//! Scheduling is work stealing over per-worker deques (DESIGN.md §16):
-//! every worker owns a [`StealDeque`] seeded before the threads start
-//! with a deterministic contiguous slice of the task indices. A worker
-//! pops its own deque LIFO; when that runs dry it steals FIFO from
-//! victims chosen by a seeded deterministic rotation, so a straggler's
-//! leftover tasks migrate to whichever cores fall idle. The deque is a
-//! Chase–Lev-style two-ended queue reduced to the pre-seeded case — no
-//! pushes ever happen after the workers start, so the task buffer is
-//! immutable and the whole structure is plain safe Rust: two atomics
-//! and a shared slice, no `unsafe` anywhere.
+//! Scheduling (DESIGN.md §16): worker `w` of `k` owns the contiguous
+//! index slice `w·n/k .. (w+1)·n/k`, held as one [`SliceCursor`] that
+//! its owner and any thief advance with the same `fetch_add`. A worker
+//! drains its own slice, then makes one pass over the other slices in a
+//! seeded deterministic rotation, draining each in turn, so a
+//! straggler's leftover tasks migrate to whichever cores fall idle.
+//! Slices only drain, so one pass ends the worker. The whole structure
+//! is one atomic per worker and no `unsafe`.
 //!
 //! Scheduling order must be irrelevant to results: each call should be a
-//! pure function of its item (and index), and every result lands in its
-//! input-index slot, so outputs are bit-identical whether the batch runs
-//! on one thread or sixteen and regardless of which worker stole what.
-//! [`run_tasks`] itself does no timing and no I/O; callers that want
-//! per-task wall-clock or progress reporting do it inside the closure
-//! (see `tdc-harness::pool`).
+//! pure function of its item (and index). Every worker returns its
+//! `(index, result)` pairs through its join handle and they are scattered
+//! by index after the scope, so outputs are bit-identical whether the
+//! batch runs on one thread or sixteen and regardless of which worker
+//! stole what.
 //!
-//! [`run_tasks_telemetry`] is the observable variant: identical results
-//! and scheduling, plus per-worker scheduler telemetry
-//! ([`crate::obs::PoolTelemetry`] — tasks run split into owned vs
-//! stolen, steal attempt/failure counters, busy/idle ns, source-deque
-//! depth samples, per-task spans) for `results/metrics.json` and the
-//! Perfetto pool track. The timing it collects is about the schedule,
-//! never an input to any task, so result determinism is unaffected.
+//! The telemetry ([`crate::obs::PoolTelemetry`] — tasks run split into
+//! owned vs stolen, steal attempt/failure counters, busy/idle ns,
+//! source-slice depth samples, per-task spans) feeds
+//! `results/metrics.json` and the Perfetto pool track. It is about the
+//! schedule, never an input to any task, so result determinism is
+//! unaffected; callers that do not need it ignore it.
 
 use crate::obs::{LogHistogram, PoolTelemetry, TaskSpan, WorkerTelemetry};
-use std::sync::atomic::{fence, AtomicIsize, Ordering};
-use std::sync::Mutex;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant; // tdc-lint: allow(time-source) schedule telemetry only
 
-/// Outcome of one [`StealDeque::steal`] attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Steal {
-    /// A task index was claimed.
-    Task(usize),
-    /// The deque was observed empty; it will stay empty (no pushes).
-    Empty,
-    /// Lost a claim race with the owner or another thief; retry.
-    Retry,
-}
-
-/// A pre-seeded Chase–Lev-style work-stealing deque of task indices.
+/// A contiguous range of task indices claimed front to back by any
+/// number of threads.
 ///
-/// The general Chase–Lev deque lets the owner push while thieves steal,
-/// which forces a growable circular buffer and `unsafe` publication. The
-/// pool never pushes after workers start — every deque is seeded once,
-/// up front, with its worker's slice of the batch — so the buffer here
-/// is an immutable `Vec<usize>` and only two atomic cursors move:
-/// `top` (the steal end, monotonically increasing under CAS) and
-/// `bottom` (the owner end, moved only by the owner). The memory-order
-/// protocol is the published C11 formulation (SeqCst fences on the
-/// owner-take and thief-steal paths, CAS on `top` for the last-element
-/// race), which guarantees each seeded index is claimed exactly once.
-///
-/// `take` is owner-only by contract: it is safe Rust either way, but
-/// calling it from two threads concurrently can double-claim an index.
-/// `steal` may be called from any number of threads.
+/// Owner and thieves claim alike, with one `fetch_add` on the cursor, so
+/// a claim cannot lose a race and each index in the range is handed out
+/// exactly once. A claim past the end returns `None` and the range stays
+/// dry: nothing is ever pushed back.
 #[derive(Debug)]
-pub struct StealDeque {
-    tasks: Vec<usize>,
-    /// Next index to steal (FIFO end). Only ever incremented, via CAS.
-    top: AtomicIsize,
-    /// One past the next index to take (LIFO end). Owner-written.
-    bottom: AtomicIsize,
+pub struct SliceCursor {
+    /// Next unclaimed index; runs past `end` by one per dry probe.
+    next: AtomicUsize,
+    end: usize,
 }
 
-impl StealDeque {
-    /// A deque holding `tasks`, all still unclaimed. The owner's
-    /// [`StealDeque::take`] consumes from the back of the vector,
-    /// thieves' [`StealDeque::steal`] from the front.
-    pub fn seeded(tasks: Vec<usize>) -> Self {
-        let n = tasks.len() as isize;
+impl SliceCursor {
+    /// A cursor over `range`, every index still unclaimed.
+    pub fn new(range: Range<usize>) -> Self {
         Self {
-            tasks,
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(n),
+            next: AtomicUsize::new(range.start),
+            end: range.end,
         }
     }
 
-    /// Owner-side LIFO pop: claims the back-most unclaimed index, or
-    /// `None` once the deque is drained (which is permanent — there
-    /// are no pushes, so `None` means this deque is done).
-    pub fn take(&self) -> Option<usize> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        self.bottom.store(b, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t < b {
-            // At least two entries remain; no thief can reach index b.
-            return Some(self.tasks[b as usize]);
-        }
-        if t == b {
-            // Last entry: race any thieves for it on the `top` cursor.
-            let won = self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok();
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return if won { Some(self.tasks[b as usize]) } else { None };
-        }
-        // Empty: restore bottom so cursors stay in the canonical range.
-        self.bottom.store(b + 1, Ordering::Relaxed);
-        None
+    /// Claims the next index, or `None` once the range is drained (for
+    /// good). `Relaxed` suffices: the index publishes no other data, and
+    /// read-modify-writes of one atomic never hand out a value twice.
+    pub fn claim(&self) -> Option<usize> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.end).then_some(i)
     }
-
-    /// Thief-side FIFO steal: claims the front-most unclaimed index.
-    /// Because the buffer is immutable, a successful CAS on `top` is
-    /// the entire claim — there is no use-after-reclaim window.
-    pub fn steal(&self) -> Steal {
-        let t = self.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        if t >= b {
-            return Steal::Empty;
-        }
-        if self
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-        {
-            Steal::Task(self.tasks[t as usize])
-        } else {
-            Steal::Retry
-        }
-    }
-
-    /// Unclaimed entries remaining. Exact when no other thread is
-    /// mid-claim; otherwise a snapshot (telemetry uses it as such).
-    pub fn len(&self) -> usize {
-        let t = self.top.load(Ordering::Relaxed);
-        let b = self.bottom.load(Ordering::Relaxed);
-        (b - t).max(0) as usize
-    }
-
-    /// Whether [`StealDeque::len`] is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Seeds one deque per worker with a contiguous slice of `0..total`,
-/// back-loaded so the owner's LIFO pops walk the slice in ascending
-/// index order while thieves chew from the descending end.
-fn seed_deques(total: usize, threads: usize) -> Vec<StealDeque> {
-    (0..threads)
-        .map(|w| {
-            let lo = w * total / threads;
-            let hi = (w + 1) * total / threads;
-            StealDeque::seeded((lo..hi).rev().collect())
-        })
-        .collect()
 }
 
 /// Deterministic starting offset of worker `me`'s victim rotation
@@ -170,111 +76,28 @@ fn rotation_start(me: usize, threads: usize) -> usize {
     (z % threads as u64) as usize
 }
 
-/// Outcome of one full sweep of steal attempts over every other
-/// worker's deque, in rotation order from `start`.
-enum Sweep {
-    /// Claimed `index`; `depth` is the victim deque's remaining size.
-    Stolen { index: usize, depth: usize, attempts: u64 },
-    /// Every victim observed empty: the whole batch is claimed.
-    Drained { attempts: u64 },
-    /// Nothing claimed but at least one race lost: sweep again.
-    Contended { attempts: u64 },
-}
-
-fn sweep(deques: &[StealDeque], me: usize, start: usize) -> Sweep {
-    let n = deques.len();
-    let mut attempts = 0;
-    let mut contended = false;
-    for step in 0..n {
-        let victim = (start + step) % n;
-        if victim == me {
-            continue;
-        }
-        attempts += 1;
-        match deques[victim].steal() {
-            Steal::Task(index) => {
-                let depth = deques[victim].len();
-                return Sweep::Stolen { index, depth, attempts };
-            }
-            Steal::Retry => contended = true,
-            Steal::Empty => {}
-        }
-    }
-    if contended {
-        Sweep::Contended { attempts }
-    } else {
-        Sweep::Drained { attempts }
-    }
+/// What one worker hands back through its join handle.
+struct WorkerLog<R> {
+    results: Vec<(usize, R)>,
+    /// `tasks`, the `busy_ns` clamp and `idle_ns` are settled after the
+    /// join.
+    counters: WorkerTelemetry,
+    spans: Vec<TaskSpan>,
+    depth: LogHistogram,
 }
 
 /// Runs `work(index, &items[index])` for every item on `threads` worker
-/// threads and returns the results in input order.
+/// threads and returns the results in input order plus the batch's
+/// scheduler telemetry.
 ///
-/// `threads` is clamped to `1..=items.len()`. Panics in `work` propagate
-/// out of the enclosing thread scope (poisoning nothing the caller keeps).
-pub fn run_tasks<T, R, F>(items: &[T], threads: usize, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let total = items.len();
-    if total == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, total);
-    let deques = seed_deques(total, threads);
-    let slots: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        let (work, deques, slots) = (&work, &deques, &slots);
-        for me in 0..threads {
-            scope.spawn(move || {
-                let run = |i: usize| {
-                    let result = work(i, &items[i]);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                };
-                while let Some(i) = deques[me].take() {
-                    run(i);
-                }
-                let mut start = rotation_start(me, threads);
-                loop {
-                    match sweep(deques, me, start) {
-                        Sweep::Stolen { index, .. } => run(index),
-                        Sweep::Contended { .. } => std::hint::spin_loop(),
-                        Sweep::Drained { .. } => break,
-                    }
-                    start = (start + 1) % threads;
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker scope joined with task unfinished")
-        })
-        .collect()
-}
-
-/// Like [`run_tasks`], additionally collecting scheduler telemetry:
-/// per-worker task counts with owned-vs-stolen attribution, steal
-/// attempt/failure counters, busy/idle time, source-deque depth samples
-/// at each dequeue, and one span per task for trace export.
-///
-/// The results vector is computed exactly as [`run_tasks`] computes it;
-/// only the telemetry side-channel differs. Per worker, `busy_ns` is
-/// clamped to the batch wall time and `idle_ns` is the remainder, so
-/// `busy + idle == wall` holds by construction and straggler tails
-/// (the work-stealing motivation) read directly off `idle_ns`.
-pub fn run_tasks_telemetry<T, R, F>(
-    items: &[T],
-    threads: usize,
-    work: F,
-) -> (Vec<R>, PoolTelemetry)
+/// `threads` is clamped to `1..=items.len()`. Per worker the telemetry
+/// attributes each task as owned or stolen, counts steal attempts and
+/// the dry probes among them, samples the source slice's remaining depth
+/// at each claim, and records one span per task. `busy_ns` is clamped to
+/// the batch wall time and `idle_ns` is the remainder, so `busy + idle
+/// == wall` holds by construction and straggler tails read directly off
+/// `idle_ns`. A panic in `work` is resumed on the calling thread.
+pub fn run_tasks<T, R, F>(items: &[T], threads: usize, work: F) -> (Vec<R>, PoolTelemetry)
 where
     T: Sync,
     R: Send,
@@ -285,71 +108,54 @@ where
         return (Vec::new(), PoolTelemetry::default());
     }
     let threads = threads.clamp(1, total);
-    let deques = seed_deques(total, threads);
-    let slots: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    #[derive(Default)]
-    struct WorkerLog {
-        owned: u64,
-        stolen: u64,
-        steal_attempts: u64,
-        steal_failures: u64,
-        busy_ns: u64,
-        spans: Vec<TaskSpan>,
-        depth: LogHistogram,
-    }
+    let slices: Vec<SliceCursor> = (0..threads)
+        .map(|w| SliceCursor::new(w * total / threads..(w + 1) * total / threads))
+        .collect();
     let launch = Instant::now(); // tdc-lint: allow(time-source)
 
-    let logs: Vec<WorkerLog> = std::thread::scope(|scope| {
-        let (work, deques, slots) = (&work, &deques, &slots);
+    let logs: Vec<WorkerLog<R>> = std::thread::scope(|scope| {
+        let (work, slices) = (&work, &slices);
         let handles: Vec<_> = (0..threads)
             .map(|me| {
                 scope.spawn(move || {
-                    let mut log = WorkerLog::default();
-                    let mut start = rotation_start(me, threads);
-                    loop {
-                        // Claim a task: own deque first, then steal.
-                        let (i, stolen, depth) = if let Some(i) = deques[me].take() {
-                            (i, false, deques[me].len())
-                        } else {
-                            match sweep(deques, me, start) {
-                                Sweep::Stolen { index, depth, attempts } => {
-                                    log.steal_attempts += attempts;
-                                    log.steal_failures += attempts - 1;
-                                    start = (start + 1) % threads;
-                                    (index, true, depth)
-                                }
-                                Sweep::Contended { attempts } => {
-                                    log.steal_attempts += attempts;
-                                    log.steal_failures += attempts;
-                                    start = (start + 1) % threads;
-                                    std::hint::spin_loop();
-                                    continue;
-                                }
-                                Sweep::Drained { attempts } => {
-                                    log.steal_attempts += attempts;
-                                    log.steal_failures += attempts;
-                                    break;
-                                }
+                    let mut log = WorkerLog {
+                        results: Vec::new(),
+                        counters: WorkerTelemetry::default(),
+                        spans: Vec::new(),
+                        depth: LogHistogram::new(),
+                    };
+                    // Own slice first, then every other slice once.
+                    let start = rotation_start(me, threads);
+                    let victims = (0..threads)
+                        .map(|step| (start + step) % threads)
+                        .filter(|&v| v != me);
+                    for source in std::iter::once(me).chain(victims) {
+                        let stolen = source != me;
+                        loop {
+                            log.counters.steal_attempts += u64::from(stolen);
+                            let Some(i) = slices[source].claim() else {
+                                log.counters.steal_failures += u64::from(stolen);
+                                break;
+                            };
+                            let begin = Instant::now(); // tdc-lint: allow(time-source)
+                            let result = work(i, &items[i]);
+                            let dur_ns = begin.elapsed().as_nanos() as u64;
+                            log.results.push((i, result));
+                            if stolen {
+                                log.counters.stolen += 1;
+                            } else {
+                                log.counters.owned += 1;
                             }
-                        };
-                        let begin = Instant::now(); // tdc-lint: allow(time-source)
-                        let result = work(i, &items[i]);
-                        let dur_ns = begin.elapsed().as_nanos() as u64;
-                        *slots[i].lock().expect("result slot poisoned") = Some(result);
-                        if stolen {
-                            log.stolen += 1;
-                        } else {
-                            log.owned += 1;
+                            log.counters.busy_ns += dur_ns;
+                            log.depth.record((slices[source].end - 1 - i) as u64);
+                            log.spans.push(TaskSpan {
+                                worker: me,
+                                index: i,
+                                start_ns: begin.duration_since(launch).as_nanos() as u64,
+                                dur_ns,
+                                stolen,
+                            });
                         }
-                        log.busy_ns += dur_ns;
-                        log.depth.record(depth as u64);
-                        log.spans.push(TaskSpan {
-                            worker: me,
-                            index: i,
-                            start_ns: begin.duration_since(launch).as_nanos() as u64,
-                            dur_ns,
-                            stolen,
-                        });
                     }
                     log
                 })
@@ -366,18 +172,19 @@ where
         wall_ns,
         ..PoolTelemetry::default()
     };
+    let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
     for log in logs {
+        for (i, result) in log.results {
+            slots[i] = Some(result);
+        }
         // Clamp so `busy + idle == wall` holds exactly: per-task timer
         // reads can sum past the single wall read on a loaded host.
-        let busy_ns = log.busy_ns.min(wall_ns);
+        let busy_ns = log.counters.busy_ns.min(wall_ns);
         telemetry.workers.push(WorkerTelemetry {
-            tasks: log.owned + log.stolen,
+            tasks: log.counters.owned + log.counters.stolen,
             busy_ns,
             idle_ns: wall_ns - busy_ns,
-            owned: log.owned,
-            stolen: log.stolen,
-            steal_attempts: log.steal_attempts,
-            steal_failures: log.steal_failures,
+            ..log.counters
         });
         telemetry.queue_depth.merge(&log.depth);
         telemetry.spans.extend(log.spans);
@@ -385,11 +192,7 @@ where
     telemetry.spans.sort_by_key(|s| (s.start_ns, s.index));
     let results = slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker scope joined with task unfinished")
-        })
+        .map(|slot| slot.expect("every index is claimed exactly once"))
         .collect();
     (results, telemetry)
 }
@@ -401,7 +204,7 @@ mod tests {
     #[test]
     fn results_are_in_input_order() {
         let items: Vec<u64> = (0..100).collect();
-        let out = run_tasks(&items, 7, |i, &x| {
+        let (out, _) = run_tasks(&items, 7, |i, &x| {
             assert_eq!(i as u64, x);
             x * x
         });
@@ -412,99 +215,18 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_results() {
-        let items: Vec<u32> = (0..37).collect();
-        let f = |_: usize, &x: &u32| x.wrapping_mul(2654435761);
-        assert_eq!(run_tasks(&items, 1, f), run_tasks(&items, 16, f));
-    }
-
-    #[test]
-    fn empty_input_and_oversubscription() {
-        let none: Vec<u8> = Vec::new();
-        assert!(run_tasks(&none, 4, |_, &x| x).is_empty());
-        // More threads than items: clamped, still correct.
-        let out = run_tasks(&[1u8, 2], 64, |_, &x| x + 1);
-        assert_eq!(out, vec![2, 3]);
-    }
-
-    #[test]
     fn non_copy_results_move_out_cleanly() {
         let items = vec!["a", "bb", "ccc"];
-        let out = run_tasks(&items, 2, |i, s| format!("{i}:{s}"));
+        let (out, _) = run_tasks(&items, 2, |i, s| format!("{i}:{s}"));
         assert_eq!(out, vec!["0:a", "1:bb", "2:ccc"]);
     }
 
     #[test]
-    fn deque_seeding_is_contiguous_and_owner_ascending() {
-        let deques = seed_deques(10, 3);
-        assert_eq!(deques.len(), 3);
-        let mut covered = Vec::new();
-        for d in &deques {
-            let mut mine = Vec::new();
-            while let Some(i) = d.take() {
-                mine.push(i);
-            }
-            // Owner-side pops walk the slice in ascending index order.
-            assert!(mine.windows(2).all(|w| w[0] < w[1]), "{mine:?}");
-            covered.extend(mine);
-        }
-        covered.sort_unstable();
-        assert_eq!(covered, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn telemetry_variant_matches_plain_results() {
-        let items: Vec<u64> = (0..50).collect();
-        let f = |i: usize, &x: &u64| x.wrapping_mul(i as u64 + 3);
-        let plain = run_tasks(&items, 4, f);
-        let (traced, telemetry) = run_tasks_telemetry(&items, 4, f);
-        assert_eq!(plain, traced);
-        assert_eq!(telemetry.workers.len(), 4);
-        let tasks: u64 = telemetry.workers.iter().map(|w| w.tasks).sum();
-        assert_eq!(tasks, 50);
-        assert_eq!(telemetry.spans.len(), 50);
-        assert_eq!(telemetry.queue_depth.count(), 50);
-        // Every input index executed exactly once.
-        let mut seen: Vec<usize> = telemetry.spans.iter().map(|s| s.index).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..50).collect::<Vec<_>>());
-        for w in &telemetry.workers {
-            assert_eq!(
-                w.busy_ns + w.idle_ns,
-                telemetry.wall_ns,
-                "busy + idle must equal the batch wall time exactly"
-            );
-            assert_eq!(w.tasks, w.owned + w.stolen, "attribution must cover tasks");
-        }
-        // Span attribution agrees with the per-worker counters.
-        let stolen_spans = telemetry.spans.iter().filter(|s| s.stolen).count() as u64;
-        let stolen_total: u64 = telemetry.workers.iter().map(|w| w.stolen).sum();
-        assert_eq!(stolen_spans, stolen_total);
-    }
-
-    #[test]
-    fn skewed_workload_records_steals() {
-        // One boulder at the front of worker 0's slice, pebbles behind
-        // it: the other workers drain their slices and must steal the
-        // boulder-owner's leftovers for the batch to finish.
-        let items: Vec<u64> = (0..64).map(|i| if i == 0 { 200_000 } else { 50 }).collect();
-        let (_, telemetry) = run_tasks_telemetry(&items, 4, |_, &spin| {
-            let mut acc = 0u64;
-            for k in 0..spin {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-            acc
-        });
-        let attempts: u64 = telemetry.workers.iter().map(|w| w.steal_attempts).sum();
-        assert!(attempts > 0, "a skewed batch must at least attempt steals");
-    }
-
-    #[test]
-    fn telemetry_on_empty_input_is_empty() {
-        let none: Vec<u8> = Vec::new();
-        let (out, telemetry) = run_tasks_telemetry(&none, 4, |_, &x| x);
-        assert!(out.is_empty());
-        assert!(telemetry.workers.is_empty());
-        assert_eq!(telemetry.queue_depth.count(), 0);
+    fn slice_cursor_claims_its_range_in_order_then_stays_dry() {
+        let cursor = SliceCursor::new(3..7);
+        let claimed: Vec<usize> = std::iter::from_fn(|| cursor.claim()).collect();
+        assert_eq!(claimed, vec![3, 4, 5, 6]);
+        assert_eq!(cursor.claim(), None);
+        assert_eq!(SliceCursor::new(5..5).claim(), None);
     }
 }

@@ -21,6 +21,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 echo "== tests (unit + property + integration) =="
 cargo test -q --workspace
 
+echo "== tests: simbench (its own workspace, built on the crates' public API) =="
+cargo test --release --offline -q --manifest-path simbench/Cargo.toml
+
 echo "== lint: tdc lint (determinism & invariant static analysis) =="
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
@@ -48,8 +51,9 @@ diff -q "$out/index.json" "$out/warm/index.json" >/dev/null \
 
 echo "== smoke: tdc all --jobs 16 (steal path, byte-identical to --jobs 2) =="
 # Oversubscribed on purpose: with more workers than most batches have
-# tasks, every non-trivial batch exercises the work-stealing sweep
-# (DESIGN.md §16). No store, so every cell actually executes.
+# tasks, every non-trivial batch exercises the pass over the other
+# workers' slice cursors (DESIGN.md §16). No store, so every cell
+# actually executes.
 ./target/release/tdc all --jobs 16 --scale 0.05 --quiet --out "$out/steal"
 for f in "$out/steal"/*.json; do
     base="$(basename "$f")"
