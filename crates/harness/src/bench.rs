@@ -22,7 +22,7 @@
 //!
 //! The record schema is pinned three ways: [`RECORD_FIELDS`] /
 //! [`RECORD_VERSION`] here, prose in DESIGN.md §11, and the
-//! `bench-schema` lint rule that fails `tdc lint` whenever the two
+//! `schema-sync` lint rule that fails `tdc lint` whenever the two
 //! drift in either direction.
 //!
 //! Records are deterministic apart from the timings themselves: no
@@ -41,10 +41,10 @@ use crate::kernels::{measure, micro_kernels, Timing};
 use crate::SEED;
 
 /// Version stamped into every record (bump on schema change, and keep
-/// DESIGN.md §11 in sync — the `bench-schema` lint rule checks).
+/// DESIGN.md §11 in sync — the `schema-sync` lint rule checks).
 pub const RECORD_VERSION: u64 = 1;
 
-/// Top-level record fields, in serialization order. The `bench-schema`
+/// Top-level record fields, in serialization order. The `schema-sync`
 /// lint rule keeps this list equal to the DESIGN.md §11 prose.
 pub const RECORD_FIELDS: [&str; 7] = [
     "format_version",

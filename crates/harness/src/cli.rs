@@ -5,10 +5,6 @@
 //! tdc fig07 fig08                   # selected figures, shared cache
 //! tdc all --jobs 8 --scale 0.1     # everything, 8 workers, short runs
 //! ```
-//!
-//! The `figNN`/`tableN` binaries in `crates/bench` are thin wrappers
-//! over [`run`], so `cargo run -p tdc-bench --bin fig07` and
-//! `tdc fig07` are the same code path.
 
 use std::io;
 use std::path::PathBuf;
@@ -351,13 +347,6 @@ fn persist_results(harness: &Harness, store: &tdc_serve::ResultStore) -> io::Res
         store.put(&key, &crate::sink::report_json(&key, &report))?;
     }
     Ok((store.counters().persisted - before) as usize)
-}
-
-/// Convenience for the thin `figNN` wrapper binaries: runs exactly one
-/// figure with default options (all CPUs, `TDC_SCALE` honored, no
-/// artifacts written — the historical binaries only printed).
-pub fn run_single_figure(id: &str) -> i32 {
-    run(&[id.to_string(), "--no-out".into(), "--quiet".into()])
 }
 
 #[cfg(test)]

@@ -5,9 +5,8 @@
 //! requests them in **one batch** (so the worker pool can run them
 //! concurrently and the shared cache can dedupe against other figures —
 //! in particular the No-L3 baseline each figure normalizes against is
-//! simulated once per harness, not once per figure), then formats the
-//! same stdout table the serial `tdc-bench` code printed, plus a JSON
-//! summary for `results/`.
+//! simulated once per harness, not once per figure), then formats its
+//! stdout table plus a JSON summary for `results/`.
 
 use std::fmt::Write as _;
 use std::sync::Arc;

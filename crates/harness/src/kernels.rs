@@ -3,14 +3,10 @@
 //! One list of measurement kernels — the component costs the paper's
 //! design arguments hinge on (tagless vs SRAM-tag access path, DRAM
 //! controller throughput, replacement machinery, trace generation) —
-//! consumed by **two** front ends:
+//! consumed by `tdc bench run` ([`crate::bench`]), which adds commit
+//! stamping, history tracking, and the noise-aware regression gate.
 //!
-//! * `cargo bench -p tdc-bench --bench micro` (the historical
-//!   micro-bench table, `crates/bench/benches/micro.rs`);
-//! * `tdc bench run` ([`crate::bench`]), which adds commit stamping,
-//!   history tracking, and the noise-aware regression gate.
-//!
-//! Both time with `std::time::Instant` over a fixed iteration budget
+//! Timing uses `std::time::Instant` over a fixed iteration budget
 //! (no external benchmarking crate; the container builds offline) and
 //! **repeat until stable**: runs continue until the medians of the two
 //! most recent [`STABLE_WINDOW`]-run windows agree within
@@ -18,7 +14,7 @@
 //! the run cap is hit, so a machine with a noisy scheduler buys itself
 //! more repetitions instead of publishing a skewed number.
 //!
-//! Environment knobs (shared by both front ends):
+//! Environment knobs:
 //!
 //! * `TDC_BENCH_RUNS` — minimum timed runs per kernel (default 3);
 //! * `TDC_BENCH_MAX_RUNS` — cap when timings refuse to settle
@@ -99,7 +95,7 @@ impl Timing {
 
     /// Whether the run series has settled per
     /// [`tdc_util::stats::median_window_stable`].
-    pub fn is_stable(&self, runs: &[f64]) -> bool {
+    fn is_stable(&self, runs: &[f64]) -> bool {
         tdc_util::stats::median_window_stable(runs, self.window, self.tolerance)
     }
 
@@ -119,7 +115,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 /// A kernel's effective per-run iteration budget after
 /// `TDC_BENCH_ITERS_SCALE` (floored at one call).
-pub fn effective_iters(iters: u64) -> u64 {
+fn effective_iters(iters: u64) -> u64 {
     let scale = std::env::var("TDC_BENCH_ITERS_SCALE")
         .ok()
         .and_then(|s| s.parse::<f64>().ok())

@@ -36,9 +36,8 @@
 //!   plus a manifest.
 //! * [`merge`] — `tdc merge <dir>...`: validate a complete shard set
 //!   and recombine it into one `results/` tree without re-simulating.
-//! * [`kernels`] — the shared micro-benchmark kernel registry and
-//!   repeat-until-stable timing loop (used by `tdc bench` and the
-//!   `cargo bench` front end in `crates/bench`).
+//! * [`kernels`] — the micro-benchmark kernel registry and
+//!   repeat-until-stable timing loop behind `tdc bench`.
 //! * [`mod@bench`] — `tdc bench run/check/history`: commit-stamped
 //!   performance history with a noise-aware regression gate
 //!   (DESIGN.md §11).

@@ -44,7 +44,7 @@ pub const MANIFEST_VERSION: u64 = 1;
 pub const MANIFEST_NAME: &str = "shard-manifest.json";
 
 /// Every top-level field of the manifest schema, in serialization
-/// order. DESIGN.md §10 documents this schema; the `manifest-schema`
+/// order. DESIGN.md §10 documents this schema; the `schema-sync`
 /// lint rule keeps the two in sync.
 pub const MANIFEST_FIELDS: [&str; 7] = [
     "format_version",

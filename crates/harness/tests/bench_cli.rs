@@ -52,7 +52,7 @@ fn git(args: &[&str], cwd: &Path) {
 /// Creates a throwaway git repo with one committed file and returns
 /// `(repo dir, short sha)`.
 fn setup_repo(name: &str) -> (PathBuf, String) {
-    let dir = std::env::temp_dir().join(format!("tdc-bench-{name}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("bench-cli-{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("temp dir");
     git(&["init", "-q"], &dir);

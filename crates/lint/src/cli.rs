@@ -240,8 +240,8 @@ mod tests {
 
     #[test]
     fn parse_explain_validates_rule() {
-        let o = parse(&["--explain".to_string(), "graph-schema".to_string()]).expect("known");
-        assert_eq!(o.explain.as_deref(), Some("graph-schema"));
+        let o = parse(&["--explain".to_string(), "schema-sync".to_string()]).expect("known");
+        assert_eq!(o.explain.as_deref(), Some("schema-sync"));
         assert!(parse(&["--explain".to_string(), "bogus".to_string()]).is_err());
     }
 

@@ -24,8 +24,7 @@ use crate::graph::{self, GraphSummary, GRAPH_VERSION};
 use crate::lexer::{scan, ScannedFile};
 use crate::parser::{parse, ParsedFile};
 use crate::rules::{
-    bench_schema, design_constants, figure_baselines, graph_schema, line_rules, manifest_schema,
-    obs_schema, pool_schema, probe_coverage, wire_schema, RawFinding, RULES,
+    design_constants, figure_baselines, line_rules, probe_coverage, schema_sync, RawFinding, RULES,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -377,12 +376,7 @@ pub fn run(cfg: &Config) -> io::Result<LintReport> {
     if design_md.is_file() {
         let design_text = fs::read_to_string(&design_md)?;
         raw.extend(design_constants(&files, &design_text));
-        raw.extend(manifest_schema(&files, &design_text));
-        raw.extend(bench_schema(&files, &design_text));
-        raw.extend(wire_schema(&files, &design_text));
-        raw.extend(obs_schema(&files, &design_text));
-        raw.extend(graph_schema(&files, &design_text));
-        raw.extend(pool_schema(&files, &design_text));
+        raw.extend(schema_sync(&files, &design_text));
     }
 
     // Pass 2: resolve the workspace call graph and run the graph rule

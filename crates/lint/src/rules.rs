@@ -23,14 +23,14 @@ pub struct RawFinding {
 }
 
 /// `(id, summary)` for every rule, in report order.
-pub const RULES: [(&str, &str); 16] = [
+pub const RULES: [(&str, &str); 11] = [
     (
         "hash-collections",
         "HashMap/HashSet in library code: iteration order is nondeterministic and can leak into artifacts",
     ),
     (
         "time-source",
-        "Instant/SystemTime outside bench code: wall-clock must never influence simulated results",
+        "Instant/SystemTime without an allow pragma: wall-clock must never influence simulated results",
     ),
     (
         "cast-truncation",
@@ -53,20 +53,8 @@ pub const RULES: [(&str, &str); 16] = [
         "every DRAM timing constant referenced in DESIGN.md (tXXX) must exist in tdc-dram",
     ),
     (
-        "manifest-schema",
-        "the shard-manifest.json schema documented in DESIGN.md must match harness::shard::MANIFEST_FIELDS/MANIFEST_VERSION",
-    ),
-    (
-        "bench-schema",
-        "the bench-history.jsonl record schema documented in DESIGN.md must match harness::bench::RECORD_FIELDS/RECORD_VERSION",
-    ),
-    (
-        "wire-schema",
-        "the serve-envelope wire format documented in DESIGN.md must match serve::wire::WIRE_FIELDS/WIRE_VERSION",
-    ),
-    (
-        "obs-schema",
-        "the events.jsonl / histogram-summary schemas documented in DESIGN.md must match util::obs::EVENT_FIELDS/EVENT_VERSION and HIST_FIELDS/HIST_VERSION",
+        "schema-sync",
+        "every artifact schema documented in DESIGN.md must match its *_FIELDS/*_VERSION constants in code",
     ),
     (
         "hot-path-alloc",
@@ -79,14 +67,6 @@ pub const RULES: [(&str, &str); 16] = [
     (
         "panic-reachability",
         "no unwrap/expect/panic!/unguarded-indexing reachable from Server request handlers: untrusted input must map to wire errors",
-    ),
-    (
-        "graph-schema",
-        "the lint-graph summary documented in DESIGN.md must match lint::graph::GRAPH_FIELDS/GRAPH_VERSION",
-    ),
-    (
-        "pool-schema",
-        "the pool-telemetry schema documented in DESIGN.md must match util::obs::POOL_FIELDS/POOL_VERSION",
     ),
 ];
 
@@ -102,9 +82,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         "time-source" => {
             "Simulated results must depend only on the model, never on wall-clock. \
-             Instant/SystemTime are allowed in bench code and behind explicit \
-             `// tdc-lint: allow(time-source)` pragmas (e.g. connection timeouts), \
-             nowhere else."
+             Instant/SystemTime are allowed only behind explicit \
+             `// tdc-lint: allow(time-source)` pragmas (bench timing loops, \
+             connection timeouts, wall-clock telemetry), nowhere else."
         }
         "cast-truncation" => {
             "`as` casts silently wrap. On cycle counters and physical/virtual \
@@ -129,26 +109,17 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "Every DRAM timing token (tRCD, tFAW, ...) referenced in DESIGN.md must \
              exist as a constant in tdc-dram, keeping prose and model in sync."
         }
-        "manifest-schema" => {
-            "The shard-manifest.json schema is documented in DESIGN.md §10 and \
-             declared in harness::shard::MANIFEST_FIELDS/MANIFEST_VERSION. Both \
-             directions are checked: documented fields must exist in code, code fields \
-             must be documented, and format_version must match."
-        }
-        "bench-schema" => {
-            "The bench-history.jsonl record schema (DESIGN.md §11 versus \
-             harness::bench::RECORD_FIELDS/RECORD_VERSION) is checked both directions, \
-             including format_version drift."
-        }
-        "wire-schema" => {
-            "The serve-envelope wire format (DESIGN.md §12 versus \
-             serve::wire::WIRE_FIELDS/WIRE_VERSION) is checked both directions, \
-             including format_version drift."
-        }
-        "obs-schema" => {
-            "The events.jsonl structured-log line and the histogram-summary object \
-             (DESIGN.md §13 versus util::obs EVENT_*/HIST_* constants) are checked \
-             both directions, including format_version drift."
+        "schema-sync" => {
+            "Each artifact schema has two sources of truth: a *_FIELDS/*_VERSION \
+             constant pair in code and a DESIGN.md block anchored by the schema's \
+             name. The spec table covers shard-manifest.json (harness::shard, §10), \
+             bench-history.jsonl (harness::bench, §11), serve-envelope (serve::wire, \
+             §12), events.jsonl and histogram-summary (util::obs, §13), lint-graph \
+             (lint::graph, §14) and pool-telemetry (util::obs, §16). Both directions \
+             are checked: documented fields must exist in code, code fields must be \
+             documented, and format_version must match. A spec whose source file or \
+             constants have vanished is a finding too, so a rename cannot switch \
+             the check off."
         }
         "hot-path-alloc" => {
             "The paper's access path is supposed to be a single cTLB step; an \
@@ -178,19 +149,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              (the engine seam is the simulator's problem, covered by panic-in-lib); \
              remaining sites are ratcheted in lint.ratchet."
         }
-        "graph-schema" => {
-            "The `graph` section of results/lint.json (function/edge/root counts) is \
-             documented at the lint-graph anchor in DESIGN.md §14 and declared in \
-             lint::graph::GRAPH_FIELDS/GRAPH_VERSION; both directions and \
-             format_version are checked, like every other schema-sync rule."
-        }
-        "pool-schema" => {
-            "The scheduler telemetry each pool batch writes to metrics.json \
-             (DESIGN.md §16 versus util::obs::POOL_FIELDS/POOL_VERSION, anchored \
-             at `pool-telemetry`) is checked both directions, including \
-             format_version drift — steal counters the docs promise must exist \
-             in code, and vice versa."
-        }
         _ => return None,
     })
 }
@@ -213,7 +171,6 @@ const NARROW_TARGETS: [&str; 4] = ["u8", "u16", "u32", "i32"];
 /// workspace-relative path (forward slashes).
 pub fn line_rules(path: &str, file: &ScannedFile) -> Vec<RawFinding> {
     let mut out = Vec::new();
-    let in_bench = path.starts_with("crates/bench/");
     let in_bin = path.contains("/bin/");
     for (idx, line) in file.lines.iter().enumerate() {
         if file.is_test_code(idx) {
@@ -238,7 +195,7 @@ pub fn line_rules(path: &str, file: &ScannedFile) -> Vec<RawFinding> {
                     .into(),
             );
         }
-        if !in_bench && ids.iter().any(|&w| w == "Instant" || w == "SystemTime") {
+        if ids.iter().any(|&w| w == "Instant" || w == "SystemTime") {
             hit(
                 "time-source",
                 "wall-clock time source in simulator code; results must depend only on the seed"
@@ -537,80 +494,9 @@ pub fn design_constants(
         .collect()
 }
 
-/// The `shard-manifest.json` schema has two sources of truth — the
-/// `MANIFEST_FIELDS`/`MANIFEST_VERSION` constants in
-/// `crates/harness/src/shard.rs` and the prose in DESIGN.md — and they
-/// must agree in both directions: every documented field exists in
-/// code, every code field is documented, and the documented
-/// `format_version` matches the constant.
-///
-/// The documented block is anchored by the first DESIGN.md line
-/// containing `shard-manifest.json`; that line carries
-/// `format_version N`, and the backtick-quoted names on it and the
-/// following lines (up to the first blank line) are the documented
-/// fields.
-pub fn manifest_schema(
-    files: &BTreeMap<String, ScannedFile>,
-    design_md: &str,
-) -> Vec<RawFinding> {
-    schema_sync(&MANIFEST_SPEC, files, design_md)
-}
-
-/// The `tdc bench` record schema has the same two-sources-of-truth
-/// shape as the shard manifest — `RECORD_FIELDS`/`RECORD_VERSION` in
-/// `crates/harness/src/bench.rs` versus the DESIGN.md §11 prose — and
-/// gets the same both-directions check, anchored by the first DESIGN.md
-/// line containing `bench-history.jsonl`.
-pub fn bench_schema(
-    files: &BTreeMap<String, ScannedFile>,
-    design_md: &str,
-) -> Vec<RawFinding> {
-    schema_sync(&BENCH_SPEC, files, design_md)
-}
-
-/// The `tdc serve` response envelope is the third two-sources-of-truth
-/// schema — `WIRE_FIELDS`/`WIRE_VERSION` in `crates/serve/src/wire.rs`
-/// versus the DESIGN.md §12 prose — anchored by the first DESIGN.md
-/// line containing `serve-envelope`.
-pub fn wire_schema(files: &BTreeMap<String, ScannedFile>, design_md: &str) -> Vec<RawFinding> {
-    schema_sync(&WIRE_SPEC, files, design_md)
-}
-
-/// The observability layer carries two more two-sources-of-truth
-/// schemas — the `events.jsonl` structured-log line
-/// (`EVENT_FIELDS`/`EVENT_VERSION`) and the histogram summary object
-/// (`HIST_FIELDS`/`HIST_VERSION`), both in `crates/util/src/obs.rs`
-/// versus the DESIGN.md §13 prose — anchored by the first DESIGN.md
-/// lines containing `events.jsonl` and `histogram-summary`.
-pub fn obs_schema(files: &BTreeMap<String, ScannedFile>, design_md: &str) -> Vec<RawFinding> {
-    let mut out = schema_sync(&OBS_EVENT_SPEC, files, design_md);
-    out.extend(schema_sync(&OBS_HIST_SPEC, files, design_md));
-    out
-}
-
-/// The lint report's own `graph` section closes the loop: the summary
-/// counts `tdc lint` writes to `results/lint.json` are themselves a
-/// two-sources-of-truth schema — `GRAPH_FIELDS`/`GRAPH_VERSION` in
-/// `crates/lint/src/graph.rs` versus the DESIGN.md §14 prose —
-/// anchored by the first DESIGN.md line containing `lint-graph`.
-pub fn graph_schema(files: &BTreeMap<String, ScannedFile>, design_md: &str) -> Vec<RawFinding> {
-    schema_sync(&GRAPH_SPEC, files, design_md)
-}
-
-/// The work-stealing pool's telemetry batch (the `pool` entries in
-/// `results/metrics.json`) is the sixth two-sources-of-truth schema —
-/// `POOL_FIELDS`/`POOL_VERSION` in `crates/util/src/obs.rs` versus the
-/// DESIGN.md §16 prose — anchored by the first DESIGN.md line
-/// containing `pool-telemetry`.
-pub fn pool_schema(files: &BTreeMap<String, ScannedFile>, design_md: &str) -> Vec<RawFinding> {
-    schema_sync(&POOL_SPEC, files, design_md)
-}
-
 /// One code-constants-versus-DESIGN.md schema pairing checked by
 /// [`schema_sync`].
 struct SchemaSpec {
-    /// Rule id reported on findings.
-    rule: &'static str,
     /// Workspace-relative source file declaring the constants.
     src: &'static str,
     /// Name of the `[&str; N]` fields constant.
@@ -628,100 +514,124 @@ struct SchemaSpec {
     field_noun: &'static str,
 }
 
-const MANIFEST_SPEC: SchemaSpec = SchemaSpec {
-    rule: "manifest-schema",
-    src: "crates/harness/src/shard.rs",
-    fields_const: "MANIFEST_FIELDS",
-    version_const: "MANIFEST_VERSION",
-    anchor: "shard-manifest.json",
-    code_home: "harness::shard",
-    subject: "shard-manifest",
-    field_noun: "manifest field",
-};
+/// Every artifact schema with two sources of truth — a
+/// `*_FIELDS`/`*_VERSION` constant pair in code and a DESIGN.md block —
+/// in DESIGN.md section order. A new schema is one row here.
+const SCHEMA_SPECS: [SchemaSpec; 7] = [
+    // §10: the `tdc shard` manifest.
+    SchemaSpec {
+        src: "crates/harness/src/shard.rs",
+        fields_const: "MANIFEST_FIELDS",
+        version_const: "MANIFEST_VERSION",
+        anchor: "shard-manifest.json",
+        code_home: "harness::shard",
+        subject: "shard-manifest",
+        field_noun: "manifest field",
+    },
+    // §11: one `tdc bench run` history record.
+    SchemaSpec {
+        src: "crates/harness/src/bench.rs",
+        fields_const: "RECORD_FIELDS",
+        version_const: "RECORD_VERSION",
+        anchor: "bench-history.jsonl",
+        code_home: "harness::bench",
+        subject: "bench-record",
+        field_noun: "bench record field",
+    },
+    // §12: the `tdc serve` response envelope.
+    SchemaSpec {
+        src: "crates/serve/src/wire.rs",
+        fields_const: "WIRE_FIELDS",
+        version_const: "WIRE_VERSION",
+        anchor: "serve-envelope",
+        code_home: "serve::wire",
+        subject: "serve-envelope",
+        field_noun: "envelope field",
+    },
+    // §13: the structured-log line and the histogram summary object.
+    SchemaSpec {
+        src: "crates/util/src/obs.rs",
+        fields_const: "EVENT_FIELDS",
+        version_const: "EVENT_VERSION",
+        anchor: "events.jsonl",
+        code_home: "util::obs",
+        subject: "event-log",
+        field_noun: "event field",
+    },
+    SchemaSpec {
+        src: "crates/util/src/obs.rs",
+        fields_const: "HIST_FIELDS",
+        version_const: "HIST_VERSION",
+        anchor: "histogram-summary",
+        code_home: "util::obs",
+        subject: "histogram-summary",
+        field_noun: "histogram summary field",
+    },
+    // §14: the `graph` section of `results/lint.json`.
+    SchemaSpec {
+        src: "crates/lint/src/graph.rs",
+        fields_const: "GRAPH_FIELDS",
+        version_const: "GRAPH_VERSION",
+        anchor: "lint-graph",
+        code_home: "lint::graph",
+        subject: "lint-graph",
+        field_noun: "graph summary field",
+    },
+    // §16: the scheduler telemetry each pool batch writes.
+    SchemaSpec {
+        src: "crates/util/src/obs.rs",
+        fields_const: "POOL_FIELDS",
+        version_const: "POOL_VERSION",
+        anchor: "pool-telemetry",
+        code_home: "util::obs",
+        subject: "pool-telemetry",
+        field_noun: "pool telemetry field",
+    },
+];
 
-const BENCH_SPEC: SchemaSpec = SchemaSpec {
-    rule: "bench-schema",
-    src: "crates/harness/src/bench.rs",
-    fields_const: "RECORD_FIELDS",
-    version_const: "RECORD_VERSION",
-    anchor: "bench-history.jsonl",
-    code_home: "harness::bench",
-    subject: "bench-record",
-    field_noun: "bench record field",
-};
+/// The `schema-sync` rule: every schema in the spec table must agree
+/// with its DESIGN.md block in both directions (see `check_schema`).
+pub fn schema_sync(files: &BTreeMap<String, ScannedFile>, design_md: &str) -> Vec<RawFinding> {
+    SCHEMA_SPECS
+        .iter()
+        .flat_map(|spec| check_schema(spec, files, design_md))
+        .collect()
+}
 
-const WIRE_SPEC: SchemaSpec = SchemaSpec {
-    rule: "wire-schema",
-    src: "crates/serve/src/wire.rs",
-    fields_const: "WIRE_FIELDS",
-    version_const: "WIRE_VERSION",
-    anchor: "serve-envelope",
-    code_home: "serve::wire",
-    subject: "serve-envelope",
-    field_noun: "envelope field",
-};
-
-const OBS_EVENT_SPEC: SchemaSpec = SchemaSpec {
-    rule: "obs-schema",
-    src: "crates/util/src/obs.rs",
-    fields_const: "EVENT_FIELDS",
-    version_const: "EVENT_VERSION",
-    anchor: "events.jsonl",
-    code_home: "util::obs",
-    subject: "event-log",
-    field_noun: "event field",
-};
-
-const OBS_HIST_SPEC: SchemaSpec = SchemaSpec {
-    rule: "obs-schema",
-    src: "crates/util/src/obs.rs",
-    fields_const: "HIST_FIELDS",
-    version_const: "HIST_VERSION",
-    anchor: "histogram-summary",
-    code_home: "util::obs",
-    subject: "histogram-summary",
-    field_noun: "histogram summary field",
-};
-
-const GRAPH_SPEC: SchemaSpec = SchemaSpec {
-    rule: "graph-schema",
-    src: "crates/lint/src/graph.rs",
-    fields_const: "GRAPH_FIELDS",
-    version_const: "GRAPH_VERSION",
-    anchor: "lint-graph",
-    code_home: "lint::graph",
-    subject: "lint-graph",
-    field_noun: "graph summary field",
-};
-
-const POOL_SPEC: SchemaSpec = SchemaSpec {
-    rule: "pool-schema",
-    src: "crates/util/src/obs.rs",
-    fields_const: "POOL_FIELDS",
-    version_const: "POOL_VERSION",
-    anchor: "pool-telemetry",
-    code_home: "util::obs",
-    subject: "pool-telemetry",
-    field_noun: "pool telemetry field",
-};
-
-/// The shared both-directions check: every documented field exists in
-/// the code constant, every code field is documented, and the
+/// The both-directions check for one spec: every documented field
+/// exists in the code constant, every code field is documented, and the
 /// documented `format_version` matches the version constant. The
 /// documented block is anchored by the first DESIGN.md line containing
 /// `spec.anchor`; that line carries `format_version N`, and the
 /// backtick-quoted names on it and the following lines (up to the
-/// first blank line) are the documented fields.
-fn schema_sync(
+/// first blank line) are the documented fields. A source file or
+/// constant that has gone missing is itself a finding: otherwise a
+/// rename would switch the check off silently.
+fn check_schema(
     spec: &SchemaSpec,
     files: &BTreeMap<String, ScannedFile>,
     design_md: &str,
 ) -> Vec<RawFinding> {
+    let vanished = |why: String| {
+        vec![RawFinding {
+            file: spec.src.to_string(),
+            line: 1,
+            rule: "schema-sync",
+            message: format!(
+                "{why}, so the {} schema cannot be checked against DESIGN.md \
+                 (restore it, or repoint the schema-sync spec table)",
+                spec.anchor
+            ),
+        }]
+    };
     let Some(src) = files.get(spec.src) else {
-        return Vec::new();
+        return vanished(format!("{} is missing", spec.src));
     };
     let Some((code_fields, code_version)) = schema_constants(src, spec) else {
-        return Vec::new();
+        return vanished(format!(
+            "{} declares no `{}`/`{}` pair",
+            spec.src, spec.fields_const, spec.version_const
+        ));
     };
 
     let anchor = design_md.lines().position(|l| l.contains(spec.anchor));
@@ -729,7 +639,7 @@ fn schema_sync(
         return vec![RawFinding {
             file: "DESIGN.md".to_string(),
             line: 1,
-            rule: spec.rule,
+            rule: "schema-sync",
             message: format!(
                 "{} defines the {} schema ({} fields) but DESIGN.md never documents it",
                 spec.code_home,
@@ -741,7 +651,7 @@ fn schema_sync(
     let hit = |message: String| RawFinding {
         file: "DESIGN.md".to_string(),
         line: anchor + 1,
-        rule: spec.rule,
+        rule: "schema-sync",
         message,
     };
     let mut out = Vec::new();
@@ -894,10 +804,12 @@ mod tests {
     }
 
     #[test]
-    fn time_source_skips_bench() {
-        assert!(findings("crates/bench/src/b.rs", "let t = Instant::now();").is_empty());
-        let hits = findings("crates/core/src/b.rs", "let t = Instant::now();");
-        assert_eq!(hits[0].rule, "time-source");
+    fn time_source_flags_wall_clock() {
+        for src in ["let t = Instant::now();", "let t = SystemTime::now();"] {
+            let hits = findings("crates/harness/src/b.rs", src);
+            assert_eq!(hits.len(), 1, "{hits:?}");
+            assert_eq!(hits[0].rule, "time-source");
+        }
     }
 
     #[test]
@@ -962,219 +874,6 @@ mod tests {
         assert!(timing_tokens("instant").is_empty());
     }
 
-    fn shard_src(fields: &[&str], version: u64) -> String {
-        let list = fields
-            .iter()
-            .map(|f| format!("    \"{f}\","))
-            .collect::<Vec<_>>()
-            .join("\n");
-        format!(
-            "pub const MANIFEST_VERSION: u64 = {version};\n\
-             pub const MANIFEST_FIELDS: [&str; {}] = [\n{list}\n];\n",
-            fields.len()
-        )
-    }
-
-    fn shard_files(fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
-        let mut files = BTreeMap::new();
-        files.insert(
-            "crates/harness/src/shard.rs".to_string(),
-            scan(&shard_src(fields, version)),
-        );
-        files
-    }
-
-    #[test]
-    fn manifest_schema_passes_when_doc_and_code_agree() {
-        let files = shard_files(&["format_version", "shard"], 1);
-        let doc = "## Manifest\n\n\
-                   `shard-manifest.json` (format_version 1) carries\n\
-                   `format_version` and `shard`.\n\n more prose";
-        assert!(manifest_schema(&files, doc).is_empty());
-    }
-
-    #[test]
-    fn manifest_schema_flags_both_directions_and_version_drift() {
-        let files = shard_files(&["format_version", "shard"], 2);
-        // Documents a bogus field, omits `shard`, and claims version 1.
-        let doc = "`shard-manifest.json` (format_version 1) carries\n\
-                   `format_version` and `bogus_field`.\n";
-        let hits = manifest_schema(&files, doc);
-        assert_eq!(hits.len(), 3, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "manifest-schema" && h.file == "DESIGN.md"));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("MANIFEST_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("`bogus_field`")));
-        assert!(hits.iter().any(|h| h.message.contains("`shard`")
-            && h.message.contains("does not document")));
-    }
-
-    fn bench_files(fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
-        let list = fields
-            .iter()
-            .map(|f| format!("    \"{f}\","))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let src = format!(
-            "pub const RECORD_VERSION: u64 = {version};\n\
-             pub const RECORD_FIELDS: [&str; {}] = [\n{list}\n];\n",
-            fields.len()
-        );
-        let mut files = BTreeMap::new();
-        files.insert("crates/harness/src/bench.rs".to_string(), scan(&src));
-        files
-    }
-
-    #[test]
-    fn bench_schema_passes_when_doc_and_code_agree() {
-        let files = bench_files(&["format_version", "benches"], 1);
-        let doc = "## Bench history\n\n\
-                   `bench-history.jsonl` (format_version 1) records carry\n\
-                   `format_version` and `benches`.\n\n more prose";
-        assert!(bench_schema(&files, doc).is_empty());
-    }
-
-    #[test]
-    fn bench_schema_flags_both_directions_and_version_drift() {
-        let files = bench_files(&["format_version", "benches"], 2);
-        let doc = "`bench-history.jsonl` (format_version 1) records carry\n\
-                   `format_version` and `bogus_field`.\n";
-        let hits = bench_schema(&files, doc);
-        assert_eq!(hits.len(), 3, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "bench-schema" && h.file == "DESIGN.md"));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("RECORD_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("`bogus_field`")));
-        assert!(hits.iter().any(|h| h.message.contains("`benches`")
-            && h.message.contains("does not document")));
-    }
-
-    #[test]
-    fn bench_schema_requires_documentation_when_code_exists() {
-        let files = bench_files(&["format_version"], 1);
-        let hits = bench_schema(&files, "# DESIGN\n\nno schema here\n");
-        assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("harness::bench"));
-        assert!(hits[0].message.contains("never documents"));
-        assert!(bench_schema(&BTreeMap::new(), "anything").is_empty());
-    }
-
-    fn wire_files(fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
-        let list = fields
-            .iter()
-            .map(|f| format!("\"{f}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let src = format!(
-            "pub const WIRE_VERSION: u64 = {version};\n\
-             pub const WIRE_FIELDS: [&str; {}] = [{list}];\n",
-            fields.len()
-        );
-        let mut files = BTreeMap::new();
-        files.insert("crates/serve/src/wire.rs".to_string(), scan(&src));
-        files
-    }
-
-    #[test]
-    fn wire_schema_passes_when_doc_and_code_agree() {
-        let files = wire_files(&["format_version", "endpoint"], 1);
-        let doc = "## Serve\n\n\
-                   Every response is a `serve-envelope` (format_version 1) with\n\
-                   `format_version` and `endpoint`.\n\n more prose";
-        assert!(wire_schema(&files, doc).is_empty());
-    }
-
-    #[test]
-    fn wire_schema_flags_both_directions_and_version_drift() {
-        let files = wire_files(&["format_version", "endpoint"], 2);
-        let doc = "Every response is a `serve-envelope` (format_version 1) with\n\
-                   `format_version` and `bogus_field`.\n";
-        let hits = wire_schema(&files, doc);
-        assert_eq!(hits.len(), 3, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "wire-schema" && h.file == "DESIGN.md"));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("WIRE_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("`bogus_field`")));
-        assert!(hits.iter().any(|h| h.message.contains("`endpoint`")
-            && h.message.contains("does not document")));
-    }
-
-    #[test]
-    fn wire_schema_requires_documentation_when_code_exists() {
-        let files = wire_files(&["format_version"], 1);
-        let hits = wire_schema(&files, "# DESIGN\n\nno schema here\n");
-        assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("serve::wire"));
-        assert!(hits[0].message.contains("never documents"));
-        assert!(wire_schema(&BTreeMap::new(), "anything").is_empty());
-    }
-
-    fn obs_files(event_fields: &[&str], hist_fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
-        let quote = |fields: &[&str]| {
-            fields
-                .iter()
-                .map(|f| format!("\"{f}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let src = format!(
-            "pub const EVENT_VERSION: u64 = {version};\n\
-             pub const EVENT_FIELDS: [&str; {}] = [{}];\n\
-             pub const HIST_VERSION: u64 = {version};\n\
-             pub const HIST_FIELDS: [&str; {}] = [{}];\n",
-            event_fields.len(),
-            quote(event_fields),
-            hist_fields.len(),
-            quote(hist_fields),
-        );
-        let mut files = BTreeMap::new();
-        files.insert("crates/util/src/obs.rs".to_string(), scan(&src));
-        files
-    }
-
-    #[test]
-    fn obs_schema_passes_when_doc_and_code_agree() {
-        let files = obs_files(&["format_version", "span"], &["count", "p99"], 1);
-        let doc = "## Observability\n\n\
-                   Each `events.jsonl` line (format_version 1) carries\n\
-                   `format_version` and `span`.\n\n\
-                   A `histogram-summary` object (format_version 1) carries\n\
-                   `count` and `p99`.\n\n more prose";
-        assert!(obs_schema(&files, doc).is_empty());
-    }
-
-    #[test]
-    fn obs_schema_flags_both_directions_and_version_drift() {
-        let files = obs_files(&["format_version", "span"], &["count", "p99"], 2);
-        // Event block: bogus field, omits `span`, claims version 1.
-        // Histogram block: documents both fields correctly but claims
-        // version 1 against HIST_VERSION 2.
-        let doc = "Each `events.jsonl` line (format_version 1) carries\n\
-                   `format_version` and `bogus_field`.\n\n\
-                   A `histogram-summary` object (format_version 1) carries\n\
-                   `count` and `p99`.\n";
-        let hits = obs_schema(&files, doc);
-        assert_eq!(hits.len(), 4, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "obs-schema" && h.file == "DESIGN.md"));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("EVENT_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("HIST_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("`bogus_field`")));
-        assert!(hits.iter().any(|h| h.message.contains("`span`")
-            && h.message.contains("does not document")));
-    }
-
-    #[test]
-    fn obs_schema_requires_documentation_when_code_exists() {
-        let files = obs_files(&["format_version"], &["count"], 1);
-        let hits = obs_schema(&files, "# DESIGN\n\nno schema here\n");
-        assert_eq!(hits.len(), 2);
-        assert!(hits.iter().all(|h| h.message.contains("util::obs")
-            && h.message.contains("never documents")));
-        assert!(obs_schema(&BTreeMap::new(), "anything").is_empty());
-    }
-
     #[test]
     fn probe_coverage_checks_phase_and_event_kind_enums() {
         let mut files = BTreeMap::new();
@@ -1196,94 +895,88 @@ mod tests {
         assert!(hits.iter().any(|h| h.message.contains("EventKind::Reject")));
     }
 
-    #[test]
-    fn manifest_schema_requires_documentation_when_code_exists() {
-        let files = shard_files(&["format_version"], 1);
-        let hits = manifest_schema(&files, "# DESIGN\n\nno schema here\n");
-        assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("never documents"));
-        // Without the shard module there is nothing to check.
-        assert!(manifest_schema(&BTreeMap::new(), "anything").is_empty());
-    }
-
-    fn graph_files(fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
+    /// Source text declaring `spec`'s constants.
+    fn spec_src(spec: &SchemaSpec, fields: &[&str], version: u64) -> String {
         let list = fields
             .iter()
             .map(|f| format!("\"{f}\""))
             .collect::<Vec<_>>()
             .join(", ");
-        let src = format!(
-            "pub const GRAPH_VERSION: u64 = {version};\n\
-             pub const GRAPH_FIELDS: [&str; {}] = [{list}];\n",
+        format!(
+            "pub const {}: u64 = {version};\npub const {}: [&str; {}] = [{list}];\n",
+            spec.version_const,
+            spec.fields_const,
             fields.len()
-        );
-        let mut files = BTreeMap::new();
-        files.insert("crates/lint/src/graph.rs".to_string(), scan(&src));
-        files
+        )
     }
 
-    #[test]
-    fn graph_schema_passes_when_doc_and_code_agree() {
-        let files = graph_files(&["format_version", "functions"], 1);
-        let doc = "## Lint\n\n\
-                   The `lint-graph` summary (format_version 1) carries\n\
-                   `format_version` and `functions`.\n\n more prose";
-        assert!(graph_schema(&files, doc).is_empty());
-    }
-
-    #[test]
-    fn graph_schema_flags_both_directions_and_version_drift() {
-        let files = graph_files(&["format_version", "functions"], 2);
-        let doc = "The `lint-graph` summary (format_version 1) carries\n\
-                   `format_version` and `bogus_field`.\n";
-        let hits = graph_schema(&files, doc);
-        assert_eq!(hits.len(), 3, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "graph-schema" && h.file == "DESIGN.md"));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("GRAPH_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("`bogus_field`")));
-        assert!(hits.iter().any(|h| h.message.contains("`functions`")
-            && h.message.contains("does not document")));
-    }
-
-    fn pool_files(fields: &[&str], version: u64) -> BTreeMap<String, ScannedFile> {
+    /// A DESIGN.md documenting `spec` on line 3.
+    fn spec_doc(spec: &SchemaSpec, fields: &[&str], version: u64) -> String {
         let list = fields
             .iter()
-            .map(|f| format!("\"{f}\""))
+            .map(|f| format!("`{f}`"))
             .collect::<Vec<_>>()
             .join(", ");
-        let src = format!(
-            "pub const POOL_VERSION: u64 = {version};\n\
-             pub const POOL_FIELDS: [&str; {}] = [{list}];\n",
-            fields.len()
+        format!(
+            "## Notes\n\nThe `{}` schema (format_version {version}) carries\n{list}.\n\nmore prose\n",
+            spec.anchor
+        )
+    }
+
+    #[test]
+    fn schema_sync_checks_every_spec_both_ways() {
+        const AGREED: [&str; 2] = ["format_version", "count"];
+        for spec in &SCHEMA_SPECS {
+            let files = |src: String| BTreeMap::from([(spec.src.to_string(), scan(&src))]);
+            let in_sync = files(spec_src(spec, &AGREED, 1));
+            let doc = spec_doc(spec, &AGREED, 1);
+            let hits = check_schema(spec, &in_sync, &doc);
+            assert!(hits.is_empty(), "{}: {hits:?}", spec.anchor);
+
+            // Documents a bogus field, omits `count`, and claims version 1.
+            let hits = check_schema(
+                spec,
+                &files(spec_src(spec, &AGREED, 2)),
+                &spec_doc(spec, &["format_version", "bogus_field"], 1),
+            );
+            assert_eq!(hits.len(), 3, "{}: {hits:?}", spec.anchor);
+            assert!(hits
+                .iter()
+                .all(|h| h.rule == "schema-sync" && h.file == "DESIGN.md" && h.line == 3));
+            let drift = format!("{} is 2", spec.version_const);
+            assert!(hits
+                .iter()
+                .any(|h| h.message.contains("format_version 1") && h.message.contains(&drift)));
+            assert!(hits
+                .iter()
+                .any(|h| h.message.contains("`bogus_field`")
+                    && h.message.contains(spec.fields_const)));
+            assert!(hits.iter().any(|h| h.message.starts_with(spec.fields_const)
+                && h.message.contains("`count`")
+                && h.message.contains("does not document")));
+
+            let hits = check_schema(spec, &in_sync, "# DESIGN\n\nno schema here\n");
+            assert_eq!(hits.len(), 1, "{}: {hits:?}", spec.anchor);
+            assert!(hits[0].message.contains(spec.code_home));
+            assert!(hits[0].message.contains("never documents"));
+
+            // A vanished source file or fields constant is a finding,
+            // not a silent pass.
+            let renamed = files(format!("pub const {}: u64 = 1;\n", spec.version_const));
+            for files in [BTreeMap::new(), renamed] {
+                let hits = check_schema(spec, &files, &doc);
+                assert_eq!(hits.len(), 1, "{}: {hits:?}", spec.anchor);
+                assert_eq!(
+                    (hits[0].rule, hits[0].file.as_str()),
+                    ("schema-sync", spec.src)
+                );
+                assert!(hits[0].message.contains(spec.anchor));
+            }
+        }
+        assert_eq!(
+            schema_sync(&BTreeMap::new(), "anything").len(),
+            SCHEMA_SPECS.len()
         );
-        let mut files = BTreeMap::new();
-        files.insert("crates/util/src/obs.rs".to_string(), scan(&src));
-        files
-    }
-
-    #[test]
-    fn pool_schema_passes_when_doc_and_code_agree() {
-        let files = pool_files(&["format_version", "stolen"], 1);
-        let doc = "## Scheduler\n\n\
-                   Each `pool-telemetry` batch (format_version 1) carries\n\
-                   `format_version` and `stolen`.\n\n more prose";
-        assert!(pool_schema(&files, doc).is_empty());
-    }
-
-    #[test]
-    fn pool_schema_flags_both_directions_and_version_drift() {
-        let files = pool_files(&["format_version", "stolen"], 2);
-        let doc = "Each `pool-telemetry` batch (format_version 1) carries\n\
-                   `format_version` and `bogus_field`.\n";
-        let hits = pool_schema(&files, doc);
-        assert_eq!(hits.len(), 3, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "pool-schema" && h.file == "DESIGN.md"));
-        assert!(hits.iter().any(|h| h.message.contains("format_version 1")
-            && h.message.contains("POOL_VERSION is 2")));
-        assert!(hits.iter().any(|h| h.message.contains("`bogus_field`")));
-        assert!(hits.iter().any(|h| h.message.contains("`stolen`")
-            && h.message.contains("does not document")));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Mini bench module: schema constants for the bench-schema rule.
+//! Mini bench module: schema constants for the schema-sync rule.
 
 pub const RECORD_VERSION: u64 = 1;
 

@@ -1,4 +1,4 @@
-//! Mini shard module: schema constants for the manifest-schema rule.
+//! Mini shard module: schema constants for the schema-sync rule.
 
 pub const MANIFEST_VERSION: u64 = 1;
 

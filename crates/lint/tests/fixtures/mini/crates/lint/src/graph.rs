@@ -1,4 +1,4 @@
-//! Mini graph module: schema constants for the graph-schema rule.
+//! Mini graph module: schema constants for the schema-sync rule.
 
 pub const GRAPH_VERSION: u64 = 1;
 

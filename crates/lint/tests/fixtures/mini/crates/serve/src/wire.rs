@@ -1,4 +1,4 @@
-//! Mini wire module: schema constants for the wire-schema rule.
+//! Mini wire module: schema constants for the schema-sync rule.
 
 pub const WIRE_VERSION: u64 = 1;
 

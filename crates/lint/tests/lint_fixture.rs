@@ -29,12 +29,12 @@ fn every_rule_flags_its_seeded_violation() {
         .collect();
     let expected: [(&str, &str, usize, Status); 18] = [
         ("design-constants", "DESIGN.md", 3, Status::New),
-        ("manifest-schema", "DESIGN.md", 6, Status::New),
-        ("bench-schema", "DESIGN.md", 10, Status::New),
-        ("wire-schema", "DESIGN.md", 15, Status::New),
-        ("obs-schema", "DESIGN.md", 19, Status::New),
-        ("graph-schema", "DESIGN.md", 27, Status::New),
-        ("pool-schema", "DESIGN.md", 31, Status::New),
+        ("schema-sync", "DESIGN.md", 6, Status::New),
+        ("schema-sync", "DESIGN.md", 10, Status::New),
+        ("schema-sync", "DESIGN.md", 15, Status::New),
+        ("schema-sync", "DESIGN.md", 19, Status::New),
+        ("schema-sync", "DESIGN.md", 27, Status::New),
+        ("schema-sync", "DESIGN.md", 31, Status::New),
         ("hash-collections", "crates/a/src/lib.rs", 4, Status::New),
         ("time-source", "crates/a/src/lib.rs", 7, Status::New),
         ("cast-truncation", "crates/a/src/lib.rs", 8, Status::New),
@@ -67,13 +67,26 @@ fn fixture_messages_name_the_offender() {
     assert!(msg("probe-coverage").contains("Orphan"));
     assert!(msg("figure-baselines").contains("figB"));
     assert!(msg("design-constants").contains("tFAW"));
-    assert!(msg("manifest-schema").contains("missing_field"));
-    assert!(msg("bench-schema").contains("stale_field"));
-    assert!(msg("wire-schema").contains("missing_wire_field"));
-    assert!(msg("obs-schema").contains("missing_event_field"));
     assert!(msg("cast-truncation").contains("end_cycle"));
-    assert!(msg("graph-schema").contains("stale_graph_field"));
-    assert!(msg("pool-schema").contains("missing_pool_field"));
+    // One schema-sync finding per seeded schema, in DESIGN.md order.
+    let schema: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.raw.rule == "schema-sync")
+        .map(|f| f.raw.message.as_str())
+        .collect();
+    let seeded = [
+        "missing_field",
+        "stale_field",
+        "missing_wire_field",
+        "missing_event_field",
+        "stale_graph_field",
+        "missing_pool_field",
+    ];
+    assert_eq!(schema.len(), seeded.len(), "{schema:?}");
+    for (message, field) in schema.iter().zip(seeded) {
+        assert!(message.contains(&format!("`{field}`")), "{message}");
+    }
     // Graph-rule messages carry the root -> sink witness chain.
     assert!(msg("hot-path-alloc").contains("k_hot::{closure}"));
     assert!(msg("lock-order").contains("alpha -> beta -> alpha"));
@@ -123,19 +136,14 @@ fn lint_json_is_parseable_and_self_consistent() {
 fn regenerated_ratchet_covers_all_non_pragma_findings() {
     let report = lint_fixture();
     let content = report.ratchet_content();
-    // 17 non-pragma findings across 13 (rule, file) groups.
+    // 17 non-pragma findings across 11 (rule, file) groups.
     assert!(content.contains("panic-in-lib crates/a/src/lib.rs 2"));
-    assert!(content.contains("graph-schema DESIGN.md 1"));
-    assert!(content.contains("pool-schema DESIGN.md 1"));
+    assert!(content.contains("schema-sync DESIGN.md 6"));
     assert!(content.contains("hot-path-alloc crates/harness/src/kernels.rs 1"));
     assert!(content.contains("lock-order crates/serve/src/locks.rs 1"));
     assert!(content.contains("panic-reachability crates/serve/src/server.rs 1"));
     assert!(content.contains("hash-collections crates/a/src/lib.rs 1"));
     assert!(content.contains("design-constants DESIGN.md 1"));
-    assert!(content.contains("manifest-schema DESIGN.md 1"));
-    assert!(content.contains("bench-schema DESIGN.md 1"));
-    assert!(content.contains("wire-schema DESIGN.md 1"));
-    assert!(content.contains("obs-schema DESIGN.md 1"));
     assert!(content.contains("probe-coverage crates/util/src/probe.rs 1"));
     // Pragma-allowed findings never enter the ratchet.
     assert!(!content.contains("hash-collections crates/a/src/lib.rs 2"));

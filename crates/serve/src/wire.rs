@@ -4,7 +4,7 @@
 //! Everything on the wire is hand-rolled [`tdc_util::json`] — no serde,
 //! same as the `results/` artifacts — and the envelope shape is pinned
 //! three ways: the constants below, the DESIGN.md §12 prose (kept in
-//! sync both directions by the `wire-schema` lint rule), and the golden
+//! sync both directions by the `schema-sync` lint rule), and the golden
 //! request/response files under `tests/golden/`.
 
 use tdc_util::Json;
@@ -14,7 +14,7 @@ use tdc_util::Json;
 pub const WIRE_VERSION: u64 = 1;
 
 /// Top-level fields of the `serve-envelope` response object, in wire
-/// order. The `wire-schema` lint rule keeps this list and DESIGN.md §12
+/// order. The `schema-sync` lint rule keeps this list and DESIGN.md §12
 /// agreeing in both directions.
 pub const WIRE_FIELDS: [&str; 5] = ["format_version", "endpoint", "status", "data", "error"];
 

@@ -21,12 +21,12 @@
 //!   ns, source-slice depth samples, per-task spans) collected by
 //!   [`crate::pool::run_tasks`] and rendered as a Perfetto
 //!   track by [`pool_trace_json`]; serialized fields fixed by
-//!   [`POOL_FIELDS`] and lint-pinned to DESIGN.md §16 (`pool-schema`
+//!   [`POOL_FIELDS`] and lint-pinned to DESIGN.md §16 (`schema-sync`
 //!   rule).
 //! * [`EventLog`] — the span-correlated JSONL event log
 //!   (`results/events.jsonl`): one compact serde-free JSON object per
 //!   line, fields fixed by [`EVENT_FIELDS`] and lint-pinned to
-//!   DESIGN.md §13 (`obs-schema` rule).
+//!   DESIGN.md §13 (`schema-sync` rule).
 
 use crate::json::Json;
 use crate::probe::{Phase, Probe};
@@ -377,7 +377,7 @@ pub const POOL_VERSION: u64 = 1;
 
 /// Field names of a serialized pool-telemetry batch (batch level plus
 /// the per-worker objects), in writer order. Lint-pinned to the
-/// DESIGN.md §16 `pool-telemetry` block (`pool-schema` rule).
+/// DESIGN.md §16 `pool-telemetry` block (`schema-sync` rule).
 pub const POOL_FIELDS: [&str; 11] = [
     "format_version",
     "wall_ns",

@@ -8,14 +8,17 @@
 //! 3. The conservative GIPT update charge (two full memory writes).
 //! 4. Online hot-page fill filter vs the paper's offline NC profiling.
 //!
-//! Scale with `TDC_SCALE` as usual.
+//! Uses the figures' seed (2015) and honors `TDC_SCALE` as usual:
+//!
+//! ```sh
+//! TDC_SCALE=0.1 cargo run --release --example ablation
+//! ```
 
-use tdc_bench::standard_config;
-use tdc_core::experiment::{run_single, run_single_custom, OrgKind};
+use tdc_core::experiment::{run_single, run_single_custom, OrgKind, RunConfig};
 use tdc_dram_cache::{TaglessCache, VictimPolicy};
 
 fn main() {
-    let cfg = standard_config();
+    let cfg = RunConfig::from_env(2015);
     let bench = "milc";
     let base = run_single(bench, OrgKind::NoL3, &cfg).expect("known benchmark");
 

@@ -21,6 +21,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 echo "== tests (unit + property + integration) =="
 cargo test -q --workspace
 
+echo "== smoke: ablation example at 2% scale =="
+ablation_out="$(TDC_SCALE=0.02 cargo run --release --offline -q --example ablation)"
+grep -q '^== Ablation 4' <<<"$ablation_out" \
+    || { echo "ablation example did not reach its last study" >&2; exit 1; }
+
 echo "== tests: simbench (its own workspace, built on the crates' public API) =="
 cargo test --release --offline -q --manifest-path simbench/Cargo.toml
 

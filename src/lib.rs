@@ -32,9 +32,10 @@
 //! );
 //! ```
 //!
-//! The paper's evaluation figures are regenerated by the binaries in
-//! `crates/bench` (`cargo run --release -p tdc-bench --bin fig07`, etc.)
-//! or all at once with `cargo bench -p tdc-bench --bench figures`.
+//! The paper's evaluation figures are regenerated by the `tdc` CLI in
+//! `crates/harness` (`cargo run --release -p tdc-harness --bin tdc --
+//! fig07`, etc.) or all at once with `tdc all`; the design ablations
+//! run with `cargo run --release --example ablation`.
 //!
 //! Architecture and design rationale live in `DESIGN.md` (the crate
 //! inventory is §3); performance-history tooling is documented in
