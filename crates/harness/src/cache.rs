@@ -10,30 +10,14 @@
 //! many figures ask for it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tdc_core::RunReport;
 
-/// Lifetime lookup/insert counters for one [`ResultCache`]
-/// (observability only; they feed `results/metrics.json` and the
-/// `tdc serve` `/metrics` endpoint, never deterministic artifacts).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// [`ResultCache::get`] calls that found a report.
-    pub hits: u64,
-    /// [`ResultCache::get`] calls that found nothing.
-    pub misses: u64,
-    /// Reports inserted (first insert per key only).
-    pub inserts: u64,
-}
-
-/// A thread-safe `cache_key -> Arc<RunReport>` store.
+/// A thread-safe `cache_key -> Arc<RunReport>` store. Hit and miss
+/// counts live in [`HarnessStats`](crate::HarnessStats).
 #[derive(Default)]
 pub struct ResultCache {
     map: Mutex<BTreeMap<String, Arc<RunReport>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
 }
 
 impl ResultCache {
@@ -42,17 +26,8 @@ impl ResultCache {
         Self::default()
     }
 
-    /// The cached report for `key`, if any; counts a hit or a miss.
+    /// The cached report for `key`, if any.
     pub fn get(&self, key: &str) -> Option<Arc<RunReport>> {
-        let found = self.peek(key);
-        let counter = if found.is_some() { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
-    }
-
-    /// The cached report for `key` without touching the counters —
-    /// for re-reads of cells a caller already accounted for.
-    pub fn peek(&self, key: &str) -> Option<Arc<RunReport>> {
         self.map.lock().expect("cache poisoned").get(key).cloned()
     }
 
@@ -61,37 +36,7 @@ impl ResultCache {
     /// converge on one value).
     pub fn insert(&self, key: String, report: RunReport) -> Arc<RunReport> {
         let mut map = self.map.lock().expect("cache poisoned");
-        let mut inserted = false;
-        let arc = map
-            .entry(key)
-            .or_insert_with(|| {
-                inserted = true;
-                Arc::new(report)
-            })
-            .clone();
-        if inserted {
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-        }
-        arc
-    }
-
-    /// Lifetime hit/miss/insert counters.
-    pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of distinct cells cached.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("cache poisoned").len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        map.entry(key).or_insert_with(|| Arc::new(report)).clone()
     }
 
     /// All cached `(key, report)` pairs, sorted by key — a deterministic
@@ -99,39 +44,5 @@ impl ResultCache {
     pub fn snapshot(&self) -> Vec<(String, Arc<RunReport>)> {
         let map = self.map.lock().expect("cache poisoned");
         map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tdc_core::experiment::{OrgKind, Workload};
-    use tdc_core::{experiment::Job, RunConfig};
-
-    fn report() -> RunReport {
-        let cfg = RunConfig {
-            seed: 5,
-            cache_bytes: 64 << 20,
-            warmup_refs: 1_000,
-            measured_refs: 2_000,
-        };
-        Job::new(Workload::Spec("milc".to_string()), OrgKind::NoL3, cfg)
-            .execute()
-            .expect("milc runs")
-    }
-
-    #[test]
-    fn counters_track_hits_misses_inserts_and_peek_does_not() {
-        let cache = ResultCache::new();
-        assert!(cache.get("k").is_none());
-        let r = report();
-        cache.insert("k".to_string(), r.clone());
-        cache.insert("k".to_string(), r); // duplicate: not a new insert
-        assert!(cache.get("k").is_some());
-        assert!(cache.peek("k").is_some());
-        assert_eq!(
-            cache.counters(),
-            CacheCounters { hits: 1, misses: 1, inserts: 1 }
-        );
     }
 }

@@ -4,23 +4,30 @@
 //! tdc list                          # what can be generated
 //! tdc fig07 fig08                   # selected figures, shared cache
 //! tdc all --jobs 8 --scale 0.1     # everything, 8 workers, short runs
+//! tdc shard 1/2 --cache-dir store   # half the cells, persisted to a store
 //! ```
 
+use std::collections::BTreeSet;
 use std::io;
 use std::path::PathBuf;
 // Wall-clock here only feeds the stderr summary and metrics.json, the
 // one deliberately nondeterministic artifact.
 use std::time::Instant; // tdc-lint: allow(time-source)
+use tdc_core::experiment::Job;
 use tdc_core::RunConfig;
 
-use crate::figures::{generate, ALL_IDS};
+use crate::figures::{generate, jobs_for, ALL_IDS};
 use crate::harness::Harness;
+use crate::shard::{parse_spec, plan, shard_jobs};
 use crate::sink::{write_metrics, write_results};
+use crate::store::{baseline_fingerprint, ResultStore};
 use crate::SEED;
 
 /// Parsed command-line options.
 struct Options {
     ids: Vec<String>,
+    /// `tdc shard K/N`: shard K of an N-way partition of the plan.
+    shard: Option<(u64, u64)>,
     jobs: usize,
     scale: Option<f64>,
     seed: u64,
@@ -53,11 +60,10 @@ COMMANDS:
                 baseline; exit non-zero on drift ('tdc diff -h')
     shard <K>/<N>
                 Run shard K of an N-way hash partition of the full
-                evaluation; write partial runs/ plus a manifest
-                ('tdc shard -h')
-    merge <shard-dir>...
-                Validate a complete shard set and recombine it into
-                one results tree without re-simulating ('tdc merge -h')
+                evaluation and persist its cells to --cache-dir (which
+                it requires). Copy every shard's cell-*.json into one
+                directory and run 'tdc all --cache-dir' on it to get
+                the figures without re-simulating
     bench run|check|history
                 Commit-stamped performance history: run the measurement
                 kernels, gate against a checked-in baseline with
@@ -66,9 +72,6 @@ COMMANDS:
     lint        Run the determinism/invariant static analysis over the
                 workspace sources; exit non-zero on any finding not in
                 the ratchet ('tdc lint -h')
-    serve       Start the persistent sweep service: a daemon that holds
-                results warm across requests, with a content-addressed
-                disk store and a load generator ('tdc serve -h')
 
 OPTIONS:
     --jobs N    Worker threads (default: available CPU parallelism)
@@ -77,8 +80,8 @@ OPTIONS:
     --out DIR   Artifact directory (default: results)
     --no-out    Skip writing JSON artifacts
     --cache-dir DIR
-                Warm-start from (and persist results to) the same
-                content-addressed store 'tdc serve --cache-dir' uses
+                Warm-start from (and persist results to) a
+                content-addressed result store of cell-*.json entries
     --quiet     Suppress per-job progress lines on stderr
     -h, --help  Show this help
 
@@ -88,6 +91,7 @@ set, seed, scale, and cache size — never on --jobs or scheduling.";
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         ids: Vec::new(),
+        shard: None,
         jobs: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         scale: None,
         seed: SEED,
@@ -95,6 +99,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
         cache_dir: None,
         quiet: false,
     };
+    let mut out_given = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
@@ -123,11 +128,18 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .parse::<u64>()
                     .map_err(|_| "--seed needs an unsigned integer".to_string())?
             }
-            "--out" => opts.out = Some(PathBuf::from(value("--out")?)),
-            "--no-out" => opts.out = None,
+            "--out" => {
+                opts.out = Some(PathBuf::from(value("--out")?));
+                out_given = true;
+            }
+            "--no-out" => {
+                opts.out = None;
+                out_given = true;
+            }
             "--cache-dir" => opts.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--quiet" => opts.quiet = true,
             "-h" | "--help" => return Err(USAGE.to_string()),
+            "shard" if opts.shard.is_none() => opts.shard = Some(parse_spec(&value("shard")?)?),
             "list" => opts.ids.push("list".into()),
             "all" => opts.ids.extend(ALL_IDS.iter().map(|s| s.to_string())),
             id if ALL_IDS.contains(&id) => opts.ids.push(id.to_string()),
@@ -138,7 +150,14 @@ fn parse(args: &[String]) -> Result<Options, String> {
             }
         }
     }
-    if opts.ids.is_empty() {
+    if opts.shard.is_some() {
+        // A shard's only output is its store.
+        if !opts.ids.is_empty() || out_given || opts.cache_dir.is_none() {
+            let usage = "tdc shard K/N takes --cache-dir DIR and no figure ids, --out or --no-out";
+            return Err(usage.into());
+        }
+        opts.out = None;
+    } else if opts.ids.is_empty() {
         return Err(USAGE.to_string());
     }
     Ok(opts)
@@ -159,11 +178,8 @@ pub fn run(args: &[String]) -> i32 {
         Some("trace") => return crate::trace::run(&args[1..]),
         Some("prof") => return crate::prof::run(&args[1..]),
         Some("diff") => return crate::diff::run(&args[1..]),
-        Some("shard") => return crate::shard::run(&args[1..]),
-        Some("merge") => return crate::merge::run(&args[1..]),
         Some("bench") => return crate::bench::run(&args[1..]),
         Some("lint") => return tdc_lint::cli::run(&args[1..]),
-        Some("serve") => return crate::serve::run(&args[1..]),
         _ => {}
     }
     let opts = match parse(args) {
@@ -184,33 +200,56 @@ pub fn run(args: &[String]) -> i32 {
     let cfg = config(&opts);
     let start = Instant::now(); // tdc-lint: allow(time-source)
     let harness = Harness::new(cfg, opts.jobs).verbose(!opts.quiet);
+    // A shard runs its slice of the deduplicated plan; otherwise the
+    // requested figures decide which cells run.
+    let slice = opts.shard.map(|(k, n)| {
+        let full = plan(&cfg);
+        let mine = shard_jobs(&full, k, n);
+        let what = format!("shard {k}/{n}, {} of {} cells", mine.len(), full.len());
+        (what, mine)
+    });
 
-    // Warm-start from the content-addressed store `tdc serve` shares.
     let store = match &opts.cache_dir {
-        Some(dir) => match tdc_serve::ResultStore::open(dir) {
-            Ok(store) => match warm_start(&harness, &store, &opts.ids, &cfg) {
-                Ok(warmed) => {
+        Some(dir) => {
+            let jobs = match &slice {
+                Some((_, mine)) => mine.clone(),
+                None => opts
+                    .ids
+                    .iter()
+                    .flat_map(|id| jobs_for(id, &cfg).into_iter().flatten())
+                    .collect(),
+            };
+            let cwd = std::env::current_dir().unwrap_or_default();
+            let opened = ResultStore::open(dir, &baseline_fingerprint(&cwd))
+                .and_then(|store| warm_start(&harness, &store, &jobs).map(|n| (store, n)));
+            match opened {
+                Ok((store, (warmed, skipped))) => {
                     if !opts.quiet && warmed > 0 {
                         eprintln!("tdc: warm-started {warmed} cell(s) from {}", dir.display());
+                    }
+                    if !opts.quiet && skipped > 0 {
+                        eprintln!(
+                            "tdc: skipped {skipped} invalid or foreign entry file(s) in {}",
+                            dir.display()
+                        );
                     }
                     Some(store)
                 }
                 Err(e) => {
-                    eprintln!("tdc: cannot read --cache-dir {}: {e}", dir.display());
+                    eprintln!("tdc: cannot use --cache-dir {}: {e}", dir.display());
                     return 1;
                 }
-            },
-            Err(e) => {
-                eprintln!("tdc: cannot open --cache-dir {}: {e}", dir.display());
-                return 1;
             }
-        },
+        }
         None => None,
     };
     if !opts.quiet {
+        let what = match &slice {
+            Some((what, _)) => what.clone(),
+            None => format!("{} figure(s)", opts.ids.len()),
+        };
         println!(
-            "tdc | {} figure(s) | jobs={} | seed={} | warmup={} measured={} refs/core",
-            opts.ids.len(),
+            "tdc | {what} | jobs={} | seed={} | warmup={} measured={} refs/core",
             harness.threads(),
             cfg.seed,
             cfg.warmup_refs,
@@ -220,6 +259,9 @@ pub fn run(args: &[String]) -> i32 {
     }
 
     let mut figures = Vec::new();
+    if let Some((_, mine)) = &slice {
+        harness.run_all(mine);
+    }
     for (i, id) in opts.ids.iter().enumerate() {
         let fig = generate(id, &harness).expect("ids validated during parsing");
         if i > 0 {
@@ -255,7 +297,6 @@ pub fn run(args: &[String]) -> i32 {
         match write_metrics(
             dir,
             &stats,
-            &harness.cache_counters(),
             opts.jobs,
             wall.as_secs_f64(),
             &harness.timings(),
@@ -306,23 +347,13 @@ pub fn run(args: &[String]) -> i32 {
     0
 }
 
-/// Preloads every stored cell the requested figures can use. Cells
-/// outside the requested figure set stay on disk so `results/` keeps
-/// containing exactly the requested cells.
-fn warm_start(
-    harness: &Harness,
-    store: &tdc_serve::ResultStore,
-    ids: &[String],
-    cfg: &RunConfig,
-) -> Result<usize, String> {
-    use crate::figures::jobs_for;
-    let mut wanted = std::collections::BTreeSet::new();
-    for id in ids {
-        for job in jobs_for(id, cfg).into_iter().flatten() {
-            wanted.insert(job.cache_key());
-        }
-    }
-    let (entries, _skipped) = store.load_all().map_err(|e| e.to_string())?;
+/// Preloads every stored cell among `jobs`. Cells outside `jobs` stay
+/// on disk so `results/` keeps containing exactly the requested cells.
+/// Returns the cells preloaded and the entry files skipped as foreign
+/// or invalid.
+fn warm_start(harness: &Harness, store: &ResultStore, jobs: &[Job]) -> io::Result<(usize, usize)> {
+    let wanted: BTreeSet<String> = jobs.iter().map(Job::cache_key).collect();
+    let (entries, skipped) = store.load_all()?;
     let mut warmed = 0usize;
     for (key, doc) in entries {
         if !wanted.contains(&key) {
@@ -337,16 +368,19 @@ fn warm_start(
         harness.preload(key, report);
         warmed += 1;
     }
-    Ok(warmed)
+    Ok((warmed, skipped))
 }
 
-/// Writes every cached cell to the store (first write per key wins).
-fn persist_results(harness: &Harness, store: &tdc_serve::ResultStore) -> io::Result<usize> {
-    let before = store.counters().persisted;
+/// Writes every cached cell to the store (first write per key wins)
+/// and returns how many entries were new.
+fn persist_results(harness: &Harness, store: &ResultStore) -> io::Result<usize> {
+    let mut persisted = 0;
     for (key, report) in harness.results() {
-        store.put(&key, &crate::sink::report_json(&key, &report))?;
+        if store.put(&key, &crate::sink::report_json(&key, &report))? {
+            persisted += 1;
+        }
     }
-    Ok((store.counters().persisted - before) as usize)
+    Ok(persisted)
 }
 
 #[cfg(test)]
@@ -377,6 +411,27 @@ mod tests {
         assert!(parse(&[]).is_err());
         assert!(parse(&["--jobs".to_string(), "x".to_string()]).is_err());
         assert!(parse(&["--scale".to_string(), "-1".to_string()]).is_err());
+    }
+
+    #[test]
+    fn shard_needs_a_store_and_nothing_else() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let o = parse(&args(&["shard", "2/4", "--cache-dir", "d", "--jobs", "3"])).unwrap();
+        assert_eq!(o.shard, Some((2, 4)));
+        assert_eq!(o.cache_dir, Some(PathBuf::from("d")));
+        assert!(o.ids.is_empty() && o.out.is_none());
+        for bad in [
+            &["shard", "2/4"][..],
+            &["shard", "5/4", "--cache-dir", "d"],
+            &["shard", "2/4", "--cache-dir", "d", "--out", "x"],
+            &["shard", "2/4", "--cache-dir", "d", "--no-out"],
+            &["shard", "2/4", "fig07", "--cache-dir", "d"],
+            &["shard", "2/4", "shard", "1/4", "--cache-dir", "d"],
+            &["serve"],
+            &["merge", "s1", "s2"],
+        ] {
+            assert!(parse(&args(bad)).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

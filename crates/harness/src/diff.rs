@@ -127,8 +127,7 @@ fn parse(args: &[String]) -> Result<DiffOptions, String> {
 /// Recursively compares `got` against `want`, pushing one human-readable
 /// line per drifting leaf (paths like `rows[3].norm_ipc`). Numeric
 /// leaves use relative tolerance `tol`; everything else must be equal.
-/// Shared with `tdc merge`'s `--diff` gate.
-pub(crate) fn collect_drift(path: &str, want: &Json, got: &Json, tol: f64, out: &mut Vec<String>) {
+fn collect_drift(path: &str, want: &Json, got: &Json, tol: f64, out: &mut Vec<String>) {
     let num = |j: &Json| -> Option<f64> {
         match j {
             Json::U64(v) => Some(*v as f64),

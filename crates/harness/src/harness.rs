@@ -83,22 +83,12 @@ impl Harness {
         self.cache.snapshot()
     }
 
-    /// The result cache's lifetime hit/miss/insert counters.
-    pub fn cache_counters(&self) -> crate::cache::CacheCounters {
-        self.cache.counters()
-    }
-
-    /// The cached report for `key`, if present (no counter side
-    /// effects).
-    pub fn cached(&self, key: &str) -> Option<Arc<RunReport>> {
-        self.cache.peek(key)
-    }
-
     /// Seeds the cache with an already-computed report, as if the job
-    /// with `key` had just run. `tdc merge` uses this to rehydrate a
-    /// harness from shard artifacts so figure generation is pure cache
-    /// hits; callers must only preload reports the keyed job would
-    /// itself have produced, or the determinism contract breaks.
+    /// with `key` had just run. `tdc --cache-dir` uses this to warm-start
+    /// a harness from the result store ([`crate::store`]) so stored
+    /// cells are cache hits; callers must only preload reports the
+    /// keyed job would itself have produced, or the determinism
+    /// contract breaks.
     pub fn preload(&self, key: String, report: RunReport) -> Arc<RunReport> {
         self.cache.insert(key, report)
     }
@@ -180,7 +170,7 @@ impl Harness {
         }
 
         keys.iter()
-            .map(|k| self.cache.peek(k).expect("just inserted"))
+            .map(|k| self.cache.get(k).expect("just inserted"))
             .collect()
     }
 

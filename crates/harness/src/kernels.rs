@@ -216,12 +216,6 @@ pub fn micro_kernels() -> Vec<Kernel> {
             factory: k_zipf_sample,
         },
         Kernel {
-            group: "serve",
-            name: "warm_hit",
-            iters: 500_000,
-            factory: k_serve_warm_hit,
-        },
-        Kernel {
             group: "obs",
             name: "hist_record_merge",
             iters: 2_000_000,
@@ -379,69 +373,6 @@ fn k_zipf_sample() -> Box<dyn FnMut() -> u64> {
     Box::new(move || z.sample(&mut rng))
 }
 
-/// One static cell behind the service's engine seam: the serve kernel
-/// measures request handling, not simulation.
-struct StaticEngine;
-
-impl tdc_serve::Engine for StaticEngine {
-    fn figure_ids(&self) -> Vec<String> {
-        Vec::new()
-    }
-    fn figure_keys(&self, _id: &str) -> Option<Vec<String>> {
-        None
-    }
-    fn has_key(&self, key: &str) -> bool {
-        key == "bench:cell"
-    }
-    fn key_count(&self) -> usize {
-        1
-    }
-    fn execute(&self, key: &str) -> Result<tdc_util::Json, String> {
-        Ok(tdc_util::Json::obj([
-            ("key", tdc_util::Json::from(key)),
-            ("value", tdc_util::Json::from(42u64)),
-        ]))
-    }
-    fn figure(&self, id: &str) -> Result<tdc_util::Json, String> {
-        Err(format!("no figures in the bench engine (asked for '{id}')"))
-    }
-    fn preload(&self, _key: &str, _report: &tdc_util::Json) -> Result<(), String> {
-        Ok(())
-    }
-    fn cache_stats(&self) -> tdc_serve::CacheStats {
-        tdc_serve::CacheStats::default()
-    }
-}
-
-/// The full `tdc serve` warm-hit request path — parse, route, admit,
-/// in-memory cell lookup, envelope build — with the simulation cost
-/// held at zero so the service overhead itself is what's measured.
-fn k_serve_warm_hit() -> Box<dyn FnMut() -> u64> {
-    let server = tdc_serve::Server::new(
-        StaticEngine,
-        tdc_serve::ServerConfig { jobs: 1, queue: 4 },
-        None,
-    );
-    let req = tdc_util::http::Request::new(
-        "POST",
-        "/sweep",
-        tdc_serve::sweep_request(&["bench:cell".to_string()], &[]).pretty(),
-    );
-    let warmed = server.handle(&req);
-    assert_eq!(warmed.status, 200, "bench engine cell must materialize");
-    // Settle the allocator before timing; the request path is
-    // allocation-heavy (JSON parse + envelope serialization).
-    for _ in 0..64 {
-        let _ = server.handle(&req);
-    }
-    // This kernel times the service envelope end-to-end — JSON parse,
-    // routing, response serialization — where allocation is the cost
-    // being measured, not a hazard. hot-path-alloc stays focused on the
-    // simulator kernels.
-    // tdc-lint: cold
-    Box::new(move || server.handle(&req).body.len() as u64)
-}
-
 /// One full two-pass `tdc lint` of this workspace — file scan, item
 /// parse, call-graph build, every rule — so the analyzer's own cost is
 /// regression-gated like any simulator kernel (DESIGN.md §14). Runs
@@ -501,10 +432,10 @@ fn k_pool_steal_imbalanced() -> Box<dyn FnMut() -> u64> {
 
 /// The observability layer's hot path (DESIGN.md §13): record a
 /// latency sample into a per-worker shard histogram, folding the shard
-/// into a global histogram every 1024 samples — the same
-/// record-locally/merge-centrally pattern the pool telemetry and the
-/// serve latency metrics use. Returns the running p99 at each merge so
-/// the quantile walk is part of the measured cost.
+/// into a global histogram every 1024 samples — the
+/// record-locally/merge-centrally pattern of per-worker latency
+/// summaries. Returns the running p99 at each merge so the quantile
+/// walk is part of the measured cost.
 fn k_hist_record_merge() -> Box<dyn FnMut() -> u64> {
     let mut shard = LogHistogram::new();
     let mut global = LogHistogram::new();

@@ -31,20 +31,18 @@
 //!   `results/prof.json`.
 //! * [`diff`] — `tdc diff <baseline-dir>`: regression gating against a
 //!   checked-in figure snapshot (non-zero exit on drift).
-//! * [`shard`] — `tdc shard K/N`: run one hash-partitioned slice of
-//!   the evaluation on one machine; emits the slice's `runs/` reports
-//!   plus a manifest.
-//! * [`merge`] — `tdc merge <dir>...`: validate a complete shard set
-//!   and recombine it into one `results/` tree without re-simulating.
+//! * [`store`] — the content-addressed result store behind
+//!   `--cache-dir` (DESIGN.md §12): the one way reports leave a
+//!   harness and come back, stamped with the baseline fingerprint.
+//! * [`shard`] — the deduplicated job plan and its hash partition:
+//!   `tdc shard K/N --cache-dir D` runs one slice into a store, and
+//!   `tdc all --cache-dir` over the union of the shards' stores
+//!   simulates nothing (DESIGN.md §10).
 //! * [`kernels`] — the micro-benchmark kernel registry and
 //!   repeat-until-stable timing loop behind `tdc bench`.
 //! * [`mod@bench`] — `tdc bench run/check/history`: commit-stamped
 //!   performance history with a noise-aware regression gate
 //!   (DESIGN.md §11).
-//! * [`serve`] — `tdc serve`: the persistent sweep service
-//!   (DESIGN.md §12). Implements the `tdc-serve` crate's engine seam
-//!   over the full job plan and hosts both the daemon and the
-//!   `--bench` load generator.
 //!
 //! # Example
 //!
@@ -67,12 +65,11 @@ pub mod diff;
 pub mod kernels;
 pub mod figures;
 pub mod harness;
-pub mod merge;
 pub mod pool;
 pub mod prof;
-pub mod serve;
 pub mod shard;
 pub mod sink;
+pub mod store;
 pub mod trace;
 
 pub use cache::ResultCache;

@@ -129,9 +129,9 @@ pub fn run_filename(key: &str, r: &RunReport) -> String {
     )
 }
 
-/// Parses one `runs/<cell>.json` document (the [`report_json`] format)
-/// back into its cache key and [`RunReport`] — the inverse `tdc merge`
-/// uses to rehydrate a harness cache from shard artifacts without
+/// Parses one [`report_json`] document back into its cache key and
+/// [`RunReport`] — the inverse `tdc --cache-dir` uses to warm-start a
+/// harness cache from the result store ([`crate::store`]) without
 /// re-simulating. `Err` names the first missing or mistyped field.
 pub fn report_from_json(doc: &Json) -> Result<(String, RunReport), String> {
     fn f64_at(j: &Json, name: &str) -> Result<f64, String> {
@@ -308,7 +308,6 @@ pub fn write_results(
 pub fn write_metrics(
     dir: &Path,
     stats: &crate::harness::HarnessStats,
-    cache: &crate::cache::CacheCounters,
     jobs: usize,
     wall_seconds: f64,
     timings: &[(String, f64)],
@@ -332,14 +331,6 @@ pub fn write_metrics(
         ("requested", Json::from(stats.requested)),
         ("executed", Json::from(stats.executed)),
         ("cache_hits", Json::from(stats.cache_hits)),
-        (
-            "result_cache",
-            Json::obj([
-                ("hits", Json::from(cache.hits)),
-                ("misses", Json::from(cache.misses)),
-                ("inserts", Json::from(cache.inserts)),
-            ]),
-        ),
         ("jobs", Json::from(jobs)),
         ("per_job", per_job),
         (

@@ -225,14 +225,14 @@ mod tests {
 
     #[test]
     fn parse_only_accumulates_and_validates() {
-        let args: Vec<String> = ["--only", "hot-path-alloc,lock-order", "--only", "panic-reachability"]
+        let args: Vec<String> = ["--only", "hot-path-alloc,schema-sync", "--only", "probe-coverage"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let o = parse(&args).expect("valid rules");
         let only = o.only.expect("set");
         assert_eq!(only.len(), 3);
-        assert!(only.contains("lock-order"));
+        assert!(only.contains("schema-sync"));
 
         let bad = parse(&["--only".to_string(), "no-such-rule".to_string()]);
         assert!(bad.unwrap_err().contains("unknown rule"));
@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_partial_ratchet_update() {
-        let args: Vec<String> = ["--update-ratchet", "--only", "lock-order"]
+        let args: Vec<String> = ["--update-ratchet", "--only", "schema-sync"]
             .iter()
             .map(|s| s.to_string())
             .collect();

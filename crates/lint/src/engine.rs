@@ -187,7 +187,6 @@ impl LintReport {
                         "roots",
                         Json::obj([
                             ("hot", Json::U64(self.graph.hot_roots as u64)),
-                            ("handlers", Json::U64(self.graph.handler_roots as u64)),
                         ]),
                     ),
                 ]),
@@ -380,11 +379,9 @@ pub fn run(cfg: &Config) -> io::Result<LintReport> {
     }
 
     // Pass 2: resolve the workspace call graph and run the graph rule
-    // families on it.
+    // on it.
     let g = graph::build(&parsed_files);
     raw.extend(graph::hot_path_alloc(&parsed_files, &g));
-    raw.extend(graph::panic_reachability(&g));
-    raw.extend(graph::lock_order(&g));
     let graph_summary = graph::summary(&parsed_files, &g);
     drop(g);
 

@@ -6,24 +6,14 @@
 //! `impl` type is mentioned in the calling file, plus every
 //! implementation of a same-named trait method when the trait is
 //! mentioned. No type inference — false edges are acceptable, missed
-//! edges are not, because the rules reason about *reachability* of
-//! allocation, lock, and panic sites.
+//! edges are not, because the rule reasons about *reachability* of
+//! allocation sites.
 //!
-//! Three rules run on the graph:
-//!
-//! * **hot-path-alloc** — roots are the bench-registry kernels
-//!   (`factory: k_name` entries, preferring the boxed closure body
-//!   `k_name::{closure}`) plus `// tdc-lint: hot` fns; any allocation
-//!   site transitively reachable from a root is flagged. `// tdc-lint:
-//!   cold` cuts traversal.
-//! * **lock-order** — Mutex acquisition order across `crates/serve`
-//!   and `tdc_util::pool`, intra-fn (guard held while another lock is
-//!   taken) and inter-procedural (guard held across a call whose
-//!   transitive callees acquire). Any cycle is a potential deadlock.
-//! * **panic-reachability** — no `unwrap`/`expect`/`panic!`/unguarded
-//!   indexing reachable from `Server` request handlers; traversal is
-//!   confined to `crates/serve` so the engine seam (which dispatches
-//!   into the simulator) does not drag the whole workspace in.
+//! One rule runs on the graph: **hot-path-alloc**. Its roots are the
+//! bench-registry kernels (`factory: k_name` entries, preferring the
+//! boxed closure body `k_name::{closure}`) plus `// tdc-lint: hot`
+//! fns; any allocation site transitively reachable from a root is
+//! flagged. `// tdc-lint: cold` cuts traversal.
 
 use crate::parser::{CallKind, FnInfo, ParsedFile, TraitInfo};
 use crate::rules::RawFinding;
@@ -31,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Version of the `graph` summary object in `results/lint.json`,
 /// documented in DESIGN.md §14 (the `lint-graph` anchor).
-pub const GRAPH_VERSION: u64 = 1;
+pub const GRAPH_VERSION: u64 = 2;
 
 /// Field names of the `graph` summary object, in serialization order.
 pub const GRAPH_FIELDS: [&str; 4] = ["format_version", "functions", "edges", "roots"];
@@ -46,10 +36,7 @@ pub struct Node<'a> {
 /// The resolved workspace call graph.
 pub struct Graph<'a> {
     pub nodes: Vec<Node<'a>>,
-    /// Resolved callee indices per call site, parallel to
-    /// `nodes[i].f.calls`. Empty for test fns.
-    pub call_targets: Vec<Vec<Vec<usize>>>,
-    /// Flattened sorted+deduped adjacency derived from `call_targets`.
+    /// Sorted, deduped callee indices per node. Empty for test fns.
     pub edges: Vec<Vec<usize>>,
     /// Total resolved edges out of non-test fns.
     pub edge_count: usize,
@@ -61,7 +48,6 @@ pub struct GraphSummary {
     pub functions: usize,
     pub edges: usize,
     pub hot_roots: usize,
-    pub handler_roots: usize,
 }
 
 /// Builds and resolves the call graph over all parsed files.
@@ -95,18 +81,19 @@ pub fn build<'a>(files: &'a BTreeMap<String, ParsedFile>) -> Graph<'a> {
     }
 
     let empty: Vec<usize> = Vec::new();
-    let mut call_targets: Vec<Vec<Vec<usize>>> = Vec::with_capacity(nodes.len());
+    let mut edges: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
+    let mut edge_count = 0;
     for n in &nodes {
         if n.f.is_test {
-            call_targets.push(Vec::new());
+            edges.push(Vec::new());
             continue;
         }
         let ctx = &files[n.file];
-        let per_call = n
+        let mut adj: Vec<usize> = n
             .f
             .calls
             .iter()
-            .map(|call| {
+            .flat_map(|call| {
                 let cands = by_name.get(call.name.as_str()).unwrap_or(&empty);
                 match call.kind {
                     CallKind::Closure => by_qual
@@ -161,26 +148,14 @@ pub fn build<'a>(files: &'a BTreeMap<String, ParsedFile>) -> Graph<'a> {
                     }
                 }
             })
-            .map(|mut v: Vec<usize>| {
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
             .collect();
-        call_targets.push(per_call);
-    }
-
-    let mut edges: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
-    let mut edge_count = 0;
-    for per_call in &call_targets {
-        let mut adj: Vec<usize> = per_call.iter().flatten().copied().collect();
         adj.sort_unstable();
         adj.dedup();
         edge_count += adj.len();
         edges.push(adj);
     }
 
-    Graph { nodes, call_targets, edges, edge_count }
+    Graph { nodes, edges, edge_count }
 }
 
 /// `Type::name` / `module::name` resolution by the penultimate path
@@ -239,16 +214,11 @@ fn crate_of(file: &str) -> &str {
     }
 }
 
-/// BFS over the graph from `roots`, skipping test and `cold` fns and
-/// nodes outside `scope`. Returns each reached node's BFS parent
-/// (`None` for roots) for path reconstruction.
-pub fn reachable(
-    g: &Graph<'_>,
-    roots: &[usize],
-    scope: impl Fn(&Node<'_>) -> bool,
-) -> BTreeMap<usize, Option<usize>> {
-    let enterable =
-        |i: usize| !g.nodes[i].f.is_test && !g.nodes[i].f.cold && scope(&g.nodes[i]);
+/// BFS over the graph from `roots`, skipping test and `cold` fns.
+/// Returns each reached node's BFS parent (`None` for roots) for path
+/// reconstruction.
+pub fn reachable(g: &Graph<'_>, roots: &[usize]) -> BTreeMap<usize, Option<usize>> {
+    let enterable = |i: usize| !g.nodes[i].f.is_test && !g.nodes[i].f.cold;
     let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
     let mut queue = VecDeque::new();
     for &r in roots {
@@ -320,28 +290,11 @@ pub fn hot_roots(files: &BTreeMap<String, ParsedFile>, g: &Graph<'_>) -> Vec<usi
     roots.into_iter().collect()
 }
 
-/// `Server` request handlers: non-test methods of `impl Server` blocks
-/// under `crates/serve/` (closures excluded — they are reached through
-/// their parents).
-pub fn handler_roots(g: &Graph<'_>) -> Vec<usize> {
-    g.nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| {
-            !n.f.is_test
-                && n.f.self_ty.as_deref() == Some("Server")
-                && n.file.starts_with("crates/serve/")
-                && !n.f.name.starts_with("{closure")
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
-
 /// The hot-path-alloc rule: flag allocation sites reachable from hot
 /// roots.
 pub fn hot_path_alloc(files: &BTreeMap<String, ParsedFile>, g: &Graph<'_>) -> Vec<RawFinding> {
     let roots = hot_roots(files, g);
-    let parents = reachable(g, &roots, |_| true);
+    let parents = reachable(g, &roots);
     let mut out: BTreeMap<(String, usize, &str), RawFinding> = BTreeMap::new();
     for &i in parents.keys() {
         let n = &g.nodes[i];
@@ -363,209 +316,12 @@ pub fn hot_path_alloc(files: &BTreeMap<String, ParsedFile>, g: &Graph<'_>) -> Ve
     out.into_values().collect()
 }
 
-/// The panic-reachability rule: flag panic sites reachable from Server
-/// request handlers, confined to `crates/serve`.
-pub fn panic_reachability(g: &Graph<'_>) -> Vec<RawFinding> {
-    let roots = handler_roots(g);
-    let parents = reachable(g, &roots, |n| n.file.starts_with("crates/serve/"));
-    let mut out: BTreeMap<(String, usize, &str), RawFinding> = BTreeMap::new();
-    for &i in parents.keys() {
-        let n = &g.nodes[i];
-        for site in &n.f.panics {
-            let key = (n.file.to_string(), site.line, site.what);
-            out.entry(key).or_insert_with(|| RawFinding {
-                file: n.file.to_string(),
-                line: site.line,
-                rule: "panic-reachability",
-                message: format!(
-                    "`{}` in `{}` can panic on a serve request path ({})",
-                    site.what,
-                    n.f.qual,
-                    chain(g, &parents, i)
-                ),
-            });
-        }
-    }
-    out.into_values().collect()
-}
-
-/// Whether a file participates in the lock-order analysis.
-fn lock_scope(file: &str) -> bool {
-    file.starts_with("crates/serve/src/") || file == "crates/util/src/pool.rs"
-}
-
-/// One lock-order edge with its provenance.
-struct LockEdgeInfo {
-    file: String,
-    line: usize,
-    detail: String,
-}
-
-/// The lock-order rule: derive the acquisition graph (intra-fn edges
-/// plus guard-held-across-call edges against transitive acquisitions)
-/// and fail on cycles.
-pub fn lock_order(g: &Graph<'_>) -> Vec<RawFinding> {
-    // Per-fn transitive lock acquisitions (fixpoint over the graph).
-    let mut acq: Vec<BTreeSet<String>> = g
-        .nodes
-        .iter()
-        .map(|n| {
-            if !n.f.is_test && lock_scope(n.file) {
-                n.f.lock_names.iter().cloned().collect()
-            } else {
-                BTreeSet::new()
-            }
-        })
-        .collect();
-    loop {
-        let mut changed = false;
-        for i in 0..g.nodes.len() {
-            if g.nodes[i].f.is_test {
-                continue;
-            }
-            for &t in &g.edges[i] {
-                if t == i {
-                    continue;
-                }
-                let add: Vec<String> =
-                    acq[t].iter().filter(|l| !acq[i].contains(*l)).cloned().collect();
-                if !add.is_empty() {
-                    acq[i].extend(add);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Acquisition-order edges, first site wins per (held, acquired).
-    let mut order: BTreeMap<(String, String), LockEdgeInfo> = BTreeMap::new();
-    let mut record = |held: &str, acquired: &str, info: LockEdgeInfo| {
-        order
-            .entry((held.to_string(), acquired.to_string()))
-            .or_insert(info);
-    };
-    for (i, n) in g.nodes.iter().enumerate() {
-        if n.f.is_test || !lock_scope(n.file) {
-            continue;
-        }
-        for e in &n.f.lock_edges {
-            record(
-                &e.held,
-                &e.acquired,
-                LockEdgeInfo {
-                    file: n.file.to_string(),
-                    line: e.line,
-                    detail: format!("`{}` takes `{}` while holding `{}`", n.f.qual, e.acquired, e.held),
-                },
-            );
-        }
-        for (c, call) in n.f.calls.iter().enumerate() {
-            if call.held.is_empty() {
-                continue;
-            }
-            for &t in &g.call_targets[i][c] {
-                if t == i {
-                    continue;
-                }
-                for l in &acq[t] {
-                    for h in &call.held {
-                        record(
-                            h,
-                            l,
-                            LockEdgeInfo {
-                                file: n.file.to_string(),
-                                line: call.line,
-                                detail: format!(
-                                    "`{}` holds `{h}` across a call to `{}` which acquires `{l}`",
-                                    n.f.qual, g.nodes[t].f.qual
-                                ),
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // Cycle enumeration over the (tiny) lock graph: DFS from each
-    // start, restricted to nodes >= start so each cycle reports once.
-    let mut adjacency: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for (held, acquired) in order.keys() {
-        adjacency.entry(held).or_default().push(acquired);
-    }
-    let mut cycles: BTreeSet<Vec<String>> = BTreeSet::new();
-    let names: Vec<&str> = adjacency.keys().copied().collect();
-    for &start in &names {
-        let mut path: Vec<&str> = vec![start];
-        let mut on_path: BTreeSet<&str> = [start].into();
-        dfs_cycles(start, &adjacency, start, &mut path, &mut on_path, &mut cycles);
-    }
-
-    cycles
-        .into_iter()
-        .map(|cycle| {
-            let mut hops = Vec::new();
-            for w in 0..cycle.len() {
-                let from = &cycle[w];
-                let to = &cycle[(w + 1) % cycle.len()];
-                let info = &order[&(from.clone(), to.clone())];
-                hops.push(format!("{} at {}:{}", info.detail, info.file, info.line));
-            }
-            let first = &order[&(cycle[0].clone(), cycle[(1) % cycle.len()].clone())];
-            let ring: Vec<&str> = cycle
-                .iter()
-                .map(String::as_str)
-                .chain([cycle[0].as_str()])
-                .collect();
-            RawFinding {
-                file: first.file.clone(),
-                line: first.line,
-                rule: "lock-order",
-                message: format!(
-                    "lock acquisition cycle {} can deadlock: {}",
-                    ring.join(" -> "),
-                    hops.join("; ")
-                ),
-            }
-        })
-        .collect()
-}
-
-fn dfs_cycles<'a>(
-    start: &'a str,
-    adjacency: &BTreeMap<&'a str, Vec<&'a str>>,
-    cur: &'a str,
-    path: &mut Vec<&'a str>,
-    on_path: &mut BTreeSet<&'a str>,
-    cycles: &mut BTreeSet<Vec<String>>,
-) {
-    if cycles.len() >= 16 {
-        return;
-    }
-    let Some(nexts) = adjacency.get(cur) else { return };
-    for &next in nexts {
-        if next == start {
-            cycles.insert(path.iter().map(|s| s.to_string()).collect());
-        } else if next > start && !on_path.contains(next) {
-            path.push(next);
-            on_path.insert(next);
-            dfs_cycles(start, adjacency, next, path, on_path, cycles);
-            on_path.remove(next);
-            path.pop();
-        }
-    }
-}
-
 /// Computes the `graph` summary reported in `results/lint.json`.
 pub fn summary(files: &BTreeMap<String, ParsedFile>, g: &Graph<'_>) -> GraphSummary {
     GraphSummary {
         functions: g.nodes.iter().filter(|n| !n.f.is_test).count(),
         edges: g.edge_count,
         hot_roots: hot_roots(files, g).len(),
-        handler_roots: handler_roots(g).len(),
     }
 }
 
@@ -618,17 +374,17 @@ mod tests {
     fn trait_method_fallback_resolves_all_impls() {
         let files = workspace(&[
             (
-                "crates/serve/src/lib.rs",
-                "pub trait Engine {\n    fn execute(&self);\n}\npub struct Server;\nimpl Server {\n    fn run(&self, e: &dyn Engine) {\n        e.execute();\n    }\n}\n",
+                "crates/core/src/lib.rs",
+                "pub trait Org {\n    fn access(&self);\n}\npub struct System;\nimpl System {\n    fn run(&self, o: &dyn Org) {\n        o.access();\n    }\n}\n",
             ),
             (
-                "crates/harness/src/serve.rs",
-                "impl Engine for PlanEngine {\n    fn execute(&self) {}\n}\n",
+                "crates/dram-cache/src/tagless.rs",
+                "impl Org for TaglessCache {\n    fn access(&self) {}\n}\n",
             ),
         ]);
         let g = build(&files);
-        let run = node(&g, "Server::run");
-        let exec = node(&g, "PlanEngine::execute");
+        let run = node(&g, "System::run");
+        let exec = node(&g, "TaglessCache::access");
         assert!(g.edges[run].contains(&exec));
     }
 
@@ -640,7 +396,7 @@ mod tests {
         )]);
         let g = build(&files);
         let a = node(&g, "a");
-        let parents = reachable(&g, &[a], |_| true);
+        let parents = reachable(&g, &[a]);
         assert!(parents.contains_key(&node(&g, "b")));
         assert_eq!(parents.len(), 2);
     }
@@ -668,59 +424,6 @@ mod tests {
         )]);
         let g = build(&files);
         assert!(hot_path_alloc(&files, &g).is_empty());
-    }
-
-    #[test]
-    fn panic_reachability_confined_to_serve() {
-        let files = workspace(&[
-            (
-                "crates/serve/src/server.rs",
-                "pub struct Server;\nimpl Server {\n    pub fn handle(&self, req: &str) -> u64 {\n        helper(req)\n    }\n}\nfn helper(req: &str) -> u64 {\n    req.parse().unwrap()\n}\nfn unreached(req: &str) -> u64 {\n    req.parse().unwrap()\n}\n",
-            ),
-            (
-                "crates/util/src/lib.rs",
-                "pub fn helper(x: &str) -> u64 {\n    x.parse().unwrap()\n}\n",
-            ),
-        ]);
-        let g = build(&files);
-        let findings = panic_reachability(&g);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].file, "crates/serve/src/server.rs");
-        assert!(findings[0].message.contains("Server::handle"));
-    }
-
-    #[test]
-    fn lock_order_cycle_detected_once() {
-        let files = workspace(&[(
-            "crates/serve/src/locks.rs",
-            "pub struct Pair;\nimpl Pair {\n    pub fn ab(&self) -> u64 {\n        let a = self.alpha.lock().expect(\"alpha\");\n        let b = self.beta.lock().expect(\"beta\");\n        *a + *b\n    }\n    pub fn ba(&self) -> u64 {\n        let b = self.beta.lock().expect(\"beta\");\n        let a = self.alpha.lock().expect(\"alpha\");\n        *a + *b\n    }\n}\n",
-        )]);
-        let g = build(&files);
-        let findings = lock_order(&g);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("alpha -> beta -> alpha"));
-    }
-
-    #[test]
-    fn lock_order_interprocedural_edge() {
-        let files = workspace(&[(
-            "crates/serve/src/locks.rs",
-            "impl S {\n    fn outer(&self) {\n        let g = self.alpha.lock().expect(\"alpha\");\n        inner(*g);\n    }\n}\nfn inner(x: u64) {\n    let b = GLOBAL.beta.lock().expect(\"beta\");\n    let _ = *b + x;\n}\nfn other(s: &S) {\n    let b = GLOBAL.beta.lock().expect(\"beta\");\n    let a = s.alpha.lock().expect(\"alpha\");\n    let _ = (*a, *b);\n}\n",
-        )]);
-        let g = build(&files);
-        let findings = lock_order(&g);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("holds `alpha` across a call"));
-    }
-
-    #[test]
-    fn consistent_order_is_clean() {
-        let files = workspace(&[(
-            "crates/serve/src/locks.rs",
-            "impl S {\n    fn one(&self) {\n        let a = self.alpha.lock().expect(\"alpha\");\n        let b = self.beta.lock().expect(\"beta\");\n        let _ = (*a, *b);\n    }\n    fn two(&self) {\n        let a = self.alpha.lock().expect(\"alpha\");\n        let b = self.beta.lock().expect(\"beta\");\n        let _ = (*a, *b);\n    }\n}\n",
-        )]);
-        let g = build(&files);
-        assert!(lock_order(&g).is_empty());
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   impls, traits, use-paths, call expressions) feeding the call
 //!   graph; no full grammar, just enough structure for reachability.
 //! * [`graph`] — the workspace symbol table and call graph plus the
-//!   graph rule families: hot-path allocation, lock acquisition order,
-//!   and panic reachability from `Server` request handlers.
+//!   graph rule: no allocation reachable from a hot path.
 //! * [`rules`] — the rule set: determinism hazards (`HashMap`/`HashSet`
 //!   in library code, wall-clock time sources, truncating casts on
 //!   cycle/address values, `unwrap()`/`panic!` in libraries) and

@@ -7,21 +7,14 @@
 //! analyze. Everything runs over [`crate::lexer::ScannedFile`] code
 //! shadows, so comments and string contents can never confuse it.
 //!
-//! Per function the parser records four feature streams:
+//! Per function the parser records two feature streams:
 //!
 //! * **calls** — method (`.name(`), path (`Type::name(` / `mod::name(`),
-//!   bare (`name(`) and synthetic closure calls, each with the set of
-//!   locks held at the call site;
+//!   bare (`name(`) and synthetic closure calls;
 //! * **allocation sites** — growth methods (`push`, `insert`,
 //!   `extend`, `collect`, `to_string`, `clone`, …), allocating
 //!   constructors (`Box::new`, `String::from`, `Vec::with_capacity`,
-//!   …) and macros (`format!`, `vec!`);
-//! * **panic sites** — `.unwrap()`, `.expect(..)`, `panic!`-family
-//!   macros, and indexing whose subscript has no visible bounds guard;
-//! * **lock events** — `.lock()` receivers (identified by the last
-//!   identifier before `.lock`), whether the guard is `let`-bound (held
-//!   until its block closes) or a temporary (released at the end of the
-//!   statement), and the held-before-acquired pairs they imply.
+//!   …) and macros (`format!`, `vec!`).
 //!
 //! Closures passed to `Box::new(move |..| ..)` become synthetic
 //! `<parent>::{closure}` functions — that is the bench-kernel factory
@@ -64,9 +57,9 @@ pub struct TraitInfo {
 /// One function (or synthetic boxed closure) and its feature streams.
 #[derive(Debug)]
 pub struct FnInfo {
-    /// Bare name (`handle`) or `{closure}` / `{closure#N}`.
+    /// Bare name (`translate`) or `{closure}` / `{closure#N}`.
     pub name: String,
-    /// Qualified name: `Server::handle`, `run_tasks`,
+    /// Qualified name: `TaglessCache::translate`, `run_tasks`,
     /// `k_zipf_sample::{closure}`.
     pub qual: String,
     /// `impl` self type (last path segment), if any.
@@ -79,15 +72,10 @@ pub struct FnInfo {
     pub is_test: bool,
     /// `// tdc-lint: hot` — extra hot-path root.
     pub hot: bool,
-    /// `// tdc-lint: cold` — cut from hot/panic traversal.
+    /// `// tdc-lint: cold` — cut from hot-path traversal.
     pub cold: bool,
     pub calls: Vec<CallSite>,
     pub allocs: Vec<Site>,
-    pub panics: Vec<Site>,
-    /// Lock names acquired anywhere in this fn (bound or temporary).
-    pub lock_names: BTreeSet<String>,
-    /// Intra-fn held→acquired pairs.
-    pub lock_edges: Vec<LockEdge>,
 }
 
 /// One call expression.
@@ -100,8 +88,6 @@ pub struct CallSite {
     pub qualifier: Option<String>,
     /// 1-based line.
     pub line: usize,
-    /// Lock names held at the call site (sorted, deduped).
-    pub held: Vec<String>,
 }
 
 /// How a call site was written.
@@ -117,19 +103,10 @@ pub enum CallKind {
     Closure,
 }
 
-/// An allocation or panic site: what was matched, and where.
+/// An allocation site: what was matched, and where.
 #[derive(Debug)]
 pub struct Site {
     pub what: &'static str,
-    pub line: usize,
-}
-
-/// A held→acquired lock pair observed inside one fn.
-#[derive(Debug)]
-pub struct LockEdge {
-    pub held: String,
-    pub acquired: String,
-    /// 1-based line of the acquisition.
     pub line: usize,
 }
 
@@ -165,10 +142,6 @@ const ALLOC_PATHS: [(&str, &str); 6] = [
 
 /// Allocating macros.
 const ALLOC_MACROS: [&str; 2] = ["format", "vec"];
-
-/// Macros that unconditionally panic. `unreachable!`/`assert!` are
-/// deliberately absent: they state invariants, not input handling.
-const PANIC_MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
 
 /// Identifiers that look like calls (`if (..)`, `Fn(..)`) but are not.
 const NON_CALL_IDENTS: [&str; 30] = [
@@ -280,14 +253,6 @@ enum Scope {
     Fn { index: usize },
 }
 
-struct Hold {
-    fn_index: usize,
-    name: String,
-    /// `stack.len()` at acquisition; released when the stack shrinks
-    /// below this depth.
-    depth: usize,
-}
-
 struct Parser<'a> {
     file: &'a ScannedFile,
     toks: Vec<Token>,
@@ -299,7 +264,6 @@ struct Parser<'a> {
     /// Expression-bodied boxed closures: (fn index, paren depth inside
     /// the `Box::new(` call). Popped when the depth unwinds.
     expr_closures: Vec<(usize, usize)>,
-    holds: Vec<Hold>,
 }
 
 /// Parses one scanned file into its call-graph view.
@@ -314,7 +278,6 @@ pub fn parse(file: &ScannedFile) -> ParsedFile {
         paren_depth: 0,
         square_depth: 0,
         expr_closures: Vec::new(),
-        holds: Vec::new(),
     };
     p.collect_file_context();
     p.walk();
@@ -401,18 +364,6 @@ impl Parser<'_> {
         has(line0) || (line0 > 0 && has(line0 - 1))
     }
 
-    fn held_names(&self, fn_index: usize) -> Vec<String> {
-        let mut held: Vec<String> = self
-            .holds
-            .iter()
-            .filter(|h| h.fn_index == fn_index)
-            .map(|h| h.name.clone())
-            .collect();
-        held.sort();
-        held.dedup();
-        held
-    }
-
     fn new_fn(&mut self, name: String, line0: usize) -> usize {
         let (self_ty, trait_of) = match self.cur_impl() {
             Some((ty, tr)) => (Some(ty), tr),
@@ -441,9 +392,6 @@ impl Parser<'_> {
             cold: self.marker(line0, "cold"),
             calls: Vec::new(),
             allocs: Vec::new(),
-            panics: Vec::new(),
-            lock_names: BTreeSet::new(),
-            lock_edges: Vec::new(),
         });
         self.out.fns.len() - 1
     }
@@ -520,8 +468,6 @@ impl Parser<'_> {
                 }
                 Tok::Punct('}') => {
                     self.stack.pop();
-                    let depth = self.stack.len();
-                    self.holds.retain(|h| h.depth <= depth);
                 }
                 Tok::Punct(';') => {
                     // `;` inside a signature's parens or an array type
@@ -547,9 +493,6 @@ impl Parser<'_> {
                     }
                 }
                 Tok::Punct('[') => {
-                    if self.pending.is_none() {
-                        self.index_features(i);
-                    }
                     self.square_depth += 1;
                 }
                 Tok::Punct(']') => {
@@ -729,8 +672,8 @@ impl Parser<'_> {
         prefix.truncate(depth_at_entry);
     }
 
-    /// Call / allocation / panic / lock extraction for the identifier
-    /// at `i` inside a fn body.
+    /// Call and allocation extraction for the identifier at `i` inside
+    /// a fn body.
     fn expression_features(&mut self, i: usize, word: &str) {
         let Some(fn_index) = self.cur_fn() else { return };
         let line = self.toks[i].line + 1;
@@ -742,14 +685,6 @@ impl Parser<'_> {
             if ALLOC_MACROS.contains(&word) {
                 let what = if word == "format" { "format!" } else { "vec!" };
                 self.out.fns[fn_index].allocs.push(Site { what, line });
-            }
-            if PANIC_MACROS.contains(&word) {
-                let what = match word {
-                    "panic" => "panic!",
-                    "todo" => "todo!",
-                    _ => "unimplemented!",
-                };
-                self.out.fns[fn_index].panics.push(Site { what, line });
             }
             return;
         }
@@ -820,131 +755,19 @@ impl Parser<'_> {
             self.out.fns[fn_index].allocs.push(Site { what, line });
         }
 
-        // Panic classification.
-        if kind == CallKind::Method && (word == "unwrap" || word == "expect") {
-            let what = if word == "unwrap" { ".unwrap()" } else { ".expect(..)" };
-            self.out.fns[fn_index].panics.push(Site { what, line });
-        }
-
-        // Lock acquisition: `.lock()` directly, or the serve
-        // poison-recovery helper `locked(&self.field)`.
-        if kind == CallKind::Method && word == "lock" {
-            self.lock_acquisition(i, fn_index, line);
-        }
-        if kind == CallKind::Bare && word == "locked" {
-            self.helper_lock_acquisition(i, open, fn_index, line);
-        }
-
         // Record the call itself.
         let boxed = kind == CallKind::Path && word == "new" && qualifier.as_deref() == Some("Box");
-        let held = self.held_names(fn_index);
         self.out.fns[fn_index].calls.push(CallSite {
             name: word.to_string(),
             kind,
             qualifier,
             line,
-            held,
         });
 
         // Boxed closure: `Box::new(move |..| ..)` becomes a synthetic
         // `{closure}` fn — the bench-kernel factory shape.
         if boxed {
             self.boxed_closure(open, fn_index);
-        }
-    }
-
-    /// Models `.lock()` at token `i`: derives the lock identity from the
-    /// receiver, decides bound-vs-temporary, and records order edges.
-    fn lock_acquisition(&mut self, i: usize, fn_index: usize, line: usize) {
-        // Receiver: last identifier before `.lock`, skipping one
-        // trailing index/call group (`slots[i].lock()`).
-        let mut r = i.checked_sub(2);
-        if let Some(mut k) = r {
-            if matches!(self.punct_at(k), Some(']') | Some(')')) {
-                let close = self.punct_at(k).unwrap_or(']');
-                let open = if close == ']' { '[' } else { '(' };
-                let mut depth = 0usize;
-                loop {
-                    match self.punct_at(k) {
-                        Some(c) if c == close => depth += 1,
-                        Some(c) if c == open => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    if k == 0 {
-                        break;
-                    }
-                    k -= 1;
-                }
-                r = k.checked_sub(1);
-            }
-        }
-        let Some(name) = r.and_then(|k| self.ident_at(k)).map(str::to_string) else {
-            return;
-        };
-        self.record_lock(name, r.unwrap_or(0), fn_index, line);
-    }
-
-    /// Models the serve poison-recovery helper `locked(&self.field)` as
-    /// a lock acquisition: the identity is the last identifier in the
-    /// argument list (`field`). `open` is the call's `(` token.
-    fn helper_lock_acquisition(&mut self, i: usize, open: usize, fn_index: usize, line: usize) {
-        let mut depth = 0usize;
-        let mut name: Option<String> = None;
-        let mut k = open;
-        while k < self.toks.len() {
-            match &self.toks[k].tok {
-                Tok::Punct('(') => depth += 1,
-                Tok::Punct(')') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                Tok::Ident(w) => name = Some(w.clone()),
-                _ => {}
-            }
-            k += 1;
-        }
-        let Some(name) = name else { return };
-        self.record_lock(name, i, fn_index, line);
-    }
-
-    /// Shared tail of both lock-acquisition shapes: emits order edges
-    /// against currently held guards and registers the new hold when
-    /// the statement (starting search back from token `from`) binds it.
-    fn record_lock(&mut self, name: String, from: usize, fn_index: usize, line: usize) {
-        // Bound if the enclosing statement starts with `let`.
-        let mut s = from;
-        while s > 0 {
-            match self.toks[s - 1].tok {
-                Tok::Punct(';') | Tok::Punct('{') | Tok::Punct('}') => break,
-                _ => s -= 1,
-            }
-        }
-        let let_bound = self.ident_at(s) == Some("let");
-        let scrutinee = (self.ident_at(s) == Some("if") || self.ident_at(s) == Some("while"))
-            && self.ident_at(s + 1) == Some("let");
-
-        for held in self.held_names(fn_index) {
-            self.out.fns[fn_index].lock_edges.push(LockEdge {
-                held,
-                acquired: name.clone(),
-                line,
-            });
-        }
-        self.out.fns[fn_index].lock_names.insert(name.clone());
-        if let_bound {
-            self.holds.push(Hold { fn_index, name, depth: self.stack.len() });
-        } else if scrutinee {
-            // An `if let` / `while let` scrutinee guard lives only for
-            // the construct's block, which is about to open one level
-            // deeper than the current scope.
-            self.holds.push(Hold { fn_index, name, depth: self.stack.len() + 1 });
         }
     }
 
@@ -976,14 +799,12 @@ impl Parser<'_> {
         // new_fn derives quals from impl context; closures hang off the
         // parent fn instead.
         self.out.fns[index].qual = format!("{parent_qual}::{}", self.out.fns[index].name);
-        let held = self.held_names(parent);
         let qual = self.out.fns[index].qual.clone();
         self.out.fns[parent].calls.push(CallSite {
             name: qual.clone(),
             kind: CallKind::Closure,
             qualifier: Some(parent_qual),
             line: line0 + 1,
-            held,
         });
 
         if self.punct_at(b) == Some('{') {
@@ -992,64 +813,6 @@ impl Parser<'_> {
             // Expression body: attribute features until the call's
             // parens unwind.
             self.expr_closures.push((index, self.paren_depth + 1));
-        }
-    }
-
-    /// Indexing `expr[subscript]` with no visible bounds guard is a
-    /// panic site. Literal subscripts, modulo arithmetic, and
-    /// subscripts whose first identifier appears in an earlier
-    /// comparison in the same fn are treated as guarded.
-    fn index_features(&mut self, i: usize) {
-        let Some(fn_index) = self.cur_fn() else { return };
-        let prev = if i == 0 { None } else { Some(&self.toks[i - 1].tok) };
-        let indexable = matches!(
-            prev,
-            Some(Tok::Ident(w)) if !NON_CALL_IDENTS.contains(&w.as_str())
-        ) || matches!(prev, Some(Tok::Punct(']')) | Some(Tok::Punct(')')));
-        if !indexable {
-            return;
-        }
-        // Find the matching `]`.
-        let mut depth = 0usize;
-        let mut j = i;
-        while j < self.toks.len() {
-            match self.punct_at(j) {
-                Some('[') => depth += 1,
-                Some(']') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let content = &self.toks[i + 1..j.min(self.toks.len())];
-        let first_ident = content.iter().find_map(|t| match &t.tok {
-            Tok::Ident(w) => Some(w.clone()),
-            _ => None,
-        });
-        let Some(var) = first_ident else {
-            return; // literal subscript
-        };
-        if content.iter().any(|t| t.tok == Tok::Punct('%')) {
-            return;
-        }
-        if content.iter().any(|t| matches!(&t.tok, Tok::Ident(w) if w == "min" || w == "len")) {
-            return; // `v[i.min(n)]`, `v[v.len() - 1]`-style self-bounding
-        }
-        // Earlier comparison mentioning the subscript variable?
-        let guarded = self.toks[..i].windows(2).any(|w| {
-            let cmp = |t: &Tok| matches!(t, Tok::Punct('<') | Tok::Punct('>'));
-            (w[0].tok == Tok::Ident(var.clone()) && cmp(&w[1].tok))
-                || (cmp(&w[0].tok) && w[1].tok == Tok::Ident(var.clone()))
-        });
-        if !guarded {
-            self.out.fns[fn_index].panics.push(Site {
-                what: "indexing without a bounds guard",
-                line: self.toks[i].line + 1,
-            });
         }
     }
 }
@@ -1073,14 +836,14 @@ mod tests {
     #[test]
     fn items_get_qualified_names() {
         let p = parse_src(
-            "impl<E: Engine> Server<E> {\n    pub fn handle(&self) {}\n}\n\
-             impl Engine for Mock {\n    fn execute(&self) {}\n}\n\
+            "impl<L: L3System> System<L> {\n    pub fn run(&self) {}\n}\n\
+             impl L3System for Mock {\n    fn access(&self) {}\n}\n\
              fn free() {}\n\
              trait Probe {\n    fn begin(&self);\n    fn end(&self) {}\n}\n",
         );
-        assert_eq!(fn_named(&p, "Server::handle").self_ty.as_deref(), Some("Server"));
-        let exec = fn_named(&p, "Mock::execute");
-        assert_eq!(exec.trait_of.as_deref(), Some("Engine"));
+        assert_eq!(fn_named(&p, "System::run").self_ty.as_deref(), Some("System"));
+        let access = fn_named(&p, "Mock::access");
+        assert_eq!(access.trait_of.as_deref(), Some("L3System"));
         assert!(fn_named(&p, "free").self_ty.is_none());
         // The bodiless trait signature is dropped; the default body stays.
         assert!(p.fns.iter().all(|f| f.qual != "Probe::begin"));
@@ -1109,15 +872,13 @@ mod tests {
     }
 
     #[test]
-    fn alloc_and_panic_sites_are_recorded() {
+    fn alloc_sites_are_recorded() {
         let p = parse_src(
-            "fn g(v: &mut Vec<u64>, o: Option<u64>) -> String {\n    v.push(1);\n    let b = Box::new(4u64);\n    let s = format!(\"x{}\", b);\n    o.unwrap();\n    o.expect(\"present\");\n    s\n}\n",
+            "fn g(v: &mut Vec<u64>, o: Option<u64>) -> String {\n    v.push(1);\n    let b = Box::new(4u64);\n    let s = format!(\"x{}\", b);\n    o.unwrap();\n    s\n}\n",
         );
         let g = fn_named(&p, "g");
         let whats: Vec<&str> = g.allocs.iter().map(|s| s.what).collect();
         assert_eq!(whats, ["push", "Box::new", "format!"]);
-        let panics: Vec<&str> = g.panics.iter().map(|s| s.what).collect();
-        assert_eq!(panics, [".unwrap()", ".expect(..)"]);
     }
 
     #[test]
@@ -1149,59 +910,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_order_edges_and_statement_scoping() {
-        let p = parse_src(
-            "impl S {\n    fn ab(&self) -> u64 {\n        let a = self.alpha.lock().unwrap();\n        let b = self.beta.lock().unwrap();\n        *a + *b\n    }\n    fn scoped(&self) -> u64 {\n        let x = {\n            let a = self.alpha.lock().unwrap();\n            *a\n        };\n        let b = self.beta.lock().unwrap();\n        x + *b\n    }\n    fn temp(&self) -> u64 {\n        *self.alpha.lock().unwrap() + *self.beta.lock().unwrap()\n    }\n    fn indexed(&self, i: usize) {\n        *self.slots[i].lock().unwrap() = 1;\n    }\n}\n",
-        );
-        let ab = fn_named(&p, "S::ab");
-        assert_eq!(ab.lock_edges.len(), 1);
-        assert_eq!(ab.lock_edges[0].held, "alpha");
-        assert_eq!(ab.lock_edges[0].acquired, "beta");
-        // A guard scoped to an inner block is released at its `}`.
-        assert!(fn_named(&p, "S::scoped").lock_edges.is_empty());
-        // Temporary guards release at the end of the statement.
-        assert!(fn_named(&p, "S::temp").lock_edges.is_empty());
-        assert!(fn_named(&p, "S::indexed").lock_names.contains("slots"));
-    }
-
-    #[test]
-    fn locked_helper_counts_as_acquisition() {
-        let p = parse_src(
-            "impl S {\n    fn f(&self) {\n        let a = locked(&self.alpha);\n        let b = locked(&self.beta);\n        drop((a, b));\n    }\n    fn temp(&self) -> usize {\n        locked(&self.alpha).len() + locked(&self.beta).len()\n    }\n}\n",
-        );
-        let f = fn_named(&p, "S::f");
-        assert_eq!(f.lock_edges.len(), 1);
-        assert_eq!(f.lock_edges[0].held, "alpha");
-        assert_eq!(f.lock_edges[0].acquired, "beta");
-        assert!(fn_named(&p, "S::temp").lock_edges.is_empty());
-    }
-
-    #[test]
-    fn if_let_scrutinee_guard_scopes_to_its_block() {
-        let p = parse_src(
-            "impl S {\n    fn early(&self) -> u64 {\n        if let Some(v) = self.mem.lock().unwrap().get(1) {\n            return *v;\n        }\n        let g = self.mem.lock().unwrap();\n        *g\n    }\n    fn nested(&self) {\n        if let Some(v) = self.mem.lock().unwrap().get(1) {\n            let f = self.flights.lock().unwrap();\n            drop((v, f));\n        }\n    }\n}\n",
-        );
-        // The scrutinee guard dies with the if-block, so the re-acquire
-        // after it is not a self-edge.
-        assert!(fn_named(&p, "S::early").lock_edges.is_empty());
-        // But inside the block it is genuinely held.
-        let nested = fn_named(&p, "S::nested");
-        assert_eq!(nested.lock_edges.len(), 1);
-        assert_eq!(nested.lock_edges[0].held, "mem");
-        assert_eq!(nested.lock_edges[0].acquired, "flights");
-    }
-
-    #[test]
-    fn held_locks_annotate_call_sites() {
-        let p = parse_src(
-            "impl S {\n    fn f(&self) {\n        let g = self.alpha.lock().unwrap();\n        work(&g);\n    }\n}\n",
-        );
-        let f = fn_named(&p, "S::f");
-        let call = f.calls.iter().find(|c| c.name == "work").expect("call");
-        assert_eq!(call.held, ["alpha"]);
-    }
-
-    #[test]
     fn use_paths_and_kernel_factories() {
         let p = parse_src(
             "use tdc_util::pool::run_tasks;\nuse tdc_util::{json::Json, obs as observe};\n\
@@ -1220,20 +928,6 @@ mod tests {
             Some(&vec!["tdc_util".to_string(), "obs".to_string()])
         );
         assert_eq!(p.kernel_factories, ["k_x"]);
-    }
-
-    #[test]
-    fn unguarded_indexing_is_a_panic_site() {
-        let p = parse_src(
-            "fn risky(v: &[u64], i: usize) -> u64 {\n    v[i]\n}\n\
-             fn guarded(v: &[u64], i: usize) -> u64 {\n    if i < v.len() { v[i] } else { 0 }\n}\n\
-             fn literal(v: &[u64; 4]) -> u64 {\n    v[0]\n}\n\
-             fn modulo(v: &[u64], i: usize) -> u64 {\n    v[i % v.len()]\n}\n",
-        );
-        assert_eq!(fn_named(&p, "risky").panics.len(), 1);
-        assert!(fn_named(&p, "guarded").panics.is_empty());
-        assert!(fn_named(&p, "literal").panics.is_empty());
-        assert!(fn_named(&p, "modulo").panics.is_empty());
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub struct RawFinding {
 }
 
 /// `(id, summary)` for every rule, in report order.
-pub const RULES: [(&str, &str); 11] = [
+pub const RULES: [(&str, &str); 9] = [
     (
         "hash-collections",
         "HashMap/HashSet in library code: iteration order is nondeterministic and can leak into artifacts",
@@ -42,7 +42,7 @@ pub const RULES: [(&str, &str); 11] = [
     ),
     (
         "probe-coverage",
-        "every ProbeEvent/Phase/EventKind variant declared in tdc-util must be used by some crate outside it",
+        "every ProbeEvent/Phase variant declared in tdc-util must be used by some crate outside it",
     ),
     (
         "figure-baselines",
@@ -60,14 +60,6 @@ pub const RULES: [(&str, &str); 11] = [
         "hot-path-alloc",
         "no allocation (push/insert/collect/format!/clone/Box::new/...) reachable from a bench-registry kernel or `tdc-lint: hot` fn; `tdc-lint: cold` cuts traversal",
     ),
-    (
-        "lock-order",
-        "Mutex acquisition order across crates/serve and tdc_util::pool must be acyclic, or two requests can deadlock",
-    ),
-    (
-        "panic-reachability",
-        "no unwrap/expect/panic!/unguarded-indexing reachable from Server request handlers: untrusted input must map to wire errors",
-    ),
 ];
 
 /// A longer explanation per rule id, for `tdc lint --explain <rule>`.
@@ -84,7 +76,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "Simulated results must depend only on the model, never on wall-clock. \
              Instant/SystemTime are allowed only behind explicit \
              `// tdc-lint: allow(time-source)` pragmas (bench timing loops, \
-             connection timeouts, wall-clock telemetry), nowhere else."
+             wall-clock telemetry), nowhere else."
         }
         "cast-truncation" => {
             "`as` casts silently wrap. On cycle counters and physical/virtual \
@@ -97,7 +89,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              into an abort. Counts are ratcheted down over time via lint.ratchet."
         }
         "probe-coverage" => {
-            "Every ProbeEvent/Phase/EventKind variant declared in tdc-util must be \
+            "Every ProbeEvent/Phase variant declared in tdc-util must be \
              emitted or consumed by some crate outside it; a dead variant means the \
              observability surface and the simulator have drifted apart."
         }
@@ -112,14 +104,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "schema-sync" => {
             "Each artifact schema has two sources of truth: a *_FIELDS/*_VERSION \
              constant pair in code and a DESIGN.md block anchored by the schema's \
-             name. The spec table covers shard-manifest.json (harness::shard, §10), \
-             bench-history.jsonl (harness::bench, §11), serve-envelope (serve::wire, \
-             §12), events.jsonl and histogram-summary (util::obs, §13), lint-graph \
-             (lint::graph, §14) and pool-telemetry (util::obs, §16). Both directions \
-             are checked: documented fields must exist in code, code fields must be \
-             documented, and format_version must match. A spec whose source file or \
-             constants have vanished is a finding too, so a rename cannot switch \
-             the check off."
+             name. The spec table covers bench-history.jsonl (harness::bench, \
+             §11), result-store (harness::store, §12), histogram-summary \
+             (util::obs, §13), lint-graph (lint::graph, §14) and pool-telemetry \
+             (util::obs, §16). Both directions are checked: documented fields must \
+             exist in code, code fields must be documented, and format_version must \
+             match. A spec whose source file or constants have vanished is a finding \
+             too, so a rename cannot switch the check off."
         }
         "hot-path-alloc" => {
             "The paper's access path is supposed to be a single cTLB step; an \
@@ -131,23 +122,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Vec::with_capacity/...) and format!/vec! reachable in the call graph. \
              Mark intentionally-allocating paths `// tdc-lint: cold` (cuts traversal) \
              or suppress a single site with `// tdc-lint: allow(hot-path-alloc)`."
-        }
-        "lock-order" => {
-            "Builds the Mutex acquisition graph across crates/serve and \
-             tdc_util::pool: an edge A -> B means some code path takes B while \
-             holding A, either directly or by calling into code that transitively \
-             acquires B. Any cycle means two threads can deadlock. Lock identity is \
-             the receiver field name (`self.flights.lock()` -> `flights`); guards are \
-             held until their binding's block closes, temporaries release at the end \
-             of the statement."
-        }
-        "panic-reachability" => {
-            "Walks the call graph from every `impl Server` method in crates/serve: \
-             unwrap/expect/panic!-family macros and unguarded indexing reachable on a \
-             request path can abort the daemon on untrusted input. Parse failures must \
-             become 400-level wire errors instead. Traversal stays inside crates/serve \
-             (the engine seam is the simulator's problem, covered by panic-in-lib); \
-             remaining sites are ratcheted in lint.ratchet."
         }
         _ => return None,
     })
@@ -279,12 +253,10 @@ fn truncating_casts(code: &str) -> Vec<String> {
 // ---------------------------------------------------------------------------
 
 /// The instrumentation enums `tdc-util` declares and the rest of the
-/// workspace must exercise: probe events and phases in `probe.rs`,
-/// structured-log event kinds in `obs.rs`.
-const COVERED_ENUMS: [(&str, &str); 3] = [
+/// workspace must exercise: probe events and phases in `probe.rs`.
+const COVERED_ENUMS: [(&str, &str); 2] = [
     ("crates/util/src/probe.rs", "ProbeEvent"),
     ("crates/util/src/probe.rs", "Phase"),
-    ("crates/util/src/obs.rs", "EventKind"),
 ];
 
 /// Every variant of the `COVERED_ENUMS` instrumentation enums must be
@@ -517,17 +489,7 @@ struct SchemaSpec {
 /// Every artifact schema with two sources of truth — a
 /// `*_FIELDS`/`*_VERSION` constant pair in code and a DESIGN.md block —
 /// in DESIGN.md section order. A new schema is one row here.
-const SCHEMA_SPECS: [SchemaSpec; 7] = [
-    // §10: the `tdc shard` manifest.
-    SchemaSpec {
-        src: "crates/harness/src/shard.rs",
-        fields_const: "MANIFEST_FIELDS",
-        version_const: "MANIFEST_VERSION",
-        anchor: "shard-manifest.json",
-        code_home: "harness::shard",
-        subject: "shard-manifest",
-        field_noun: "manifest field",
-    },
+const SCHEMA_SPECS: [SchemaSpec; 5] = [
     // §11: one `tdc bench run` history record.
     SchemaSpec {
         src: "crates/harness/src/bench.rs",
@@ -538,26 +500,17 @@ const SCHEMA_SPECS: [SchemaSpec; 7] = [
         subject: "bench-record",
         field_noun: "bench record field",
     },
-    // §12: the `tdc serve` response envelope.
+    // §12: one result-store entry.
     SchemaSpec {
-        src: "crates/serve/src/wire.rs",
-        fields_const: "WIRE_FIELDS",
-        version_const: "WIRE_VERSION",
-        anchor: "serve-envelope",
-        code_home: "serve::wire",
-        subject: "serve-envelope",
-        field_noun: "envelope field",
+        src: "crates/harness/src/store.rs",
+        fields_const: "STORE_FIELDS",
+        version_const: "STORE_VERSION",
+        anchor: "result-store",
+        code_home: "harness::store",
+        subject: "result-store",
+        field_noun: "store entry field",
     },
-    // §13: the structured-log line and the histogram summary object.
-    SchemaSpec {
-        src: "crates/util/src/obs.rs",
-        fields_const: "EVENT_FIELDS",
-        version_const: "EVENT_VERSION",
-        anchor: "events.jsonl",
-        code_home: "util::obs",
-        subject: "event-log",
-        field_noun: "event field",
-    },
+    // §13: the histogram summary object.
     SchemaSpec {
         src: "crates/util/src/obs.rs",
         fields_const: "HIST_FIELDS",
@@ -875,24 +828,19 @@ mod tests {
     }
 
     #[test]
-    fn probe_coverage_checks_phase_and_event_kind_enums() {
+    fn probe_coverage_checks_the_phase_enum() {
         let mut files = BTreeMap::new();
         files.insert(
             "crates/util/src/probe.rs".to_string(),
             scan("pub enum ProbeEvent {\n    Used { n: u8 },\n}\npub enum Phase {\n    Dram,\n    Idle,\n}"),
         );
         files.insert(
-            "crates/util/src/obs.rs".to_string(),
-            scan("pub enum EventKind {\n    Execute,\n    Reject,\n}"),
-        );
-        files.insert(
             "crates/core/src/a.rs".to_string(),
-            scan("p.emit(ProbeEvent::Used { n: 1 });\np.phase_begin(Phase::Dram);\nlog.emit(1, \"cell\", EventKind::Execute, k);\nMyPhase::Idle;"),
+            scan("p.emit(ProbeEvent::Used { n: 1 });\np.phase_begin(Phase::Dram);\nMyPhase::Idle;"),
         );
         let hits = probe_coverage(&files);
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert!(hits.iter().any(|h| h.message.contains("Phase::Idle")));
-        assert!(hits.iter().any(|h| h.message.contains("EventKind::Reject")));
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].message.contains("Phase::Idle"));
     }
 
     /// Source text declaring `spec`'s constants.

@@ -1,8 +1,5 @@
 //! Mini observability constants for the lint fixture.
 
-pub const EVENT_VERSION: u64 = 1;
-pub const EVENT_FIELDS: [&str; 2] = ["format_version", "span"];
-
 pub const HIST_VERSION: u64 = 1;
 pub const HIST_FIELDS: [&str; 2] = ["count", "p99"];
 

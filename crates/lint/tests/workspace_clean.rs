@@ -60,8 +60,8 @@ fn workspace_scan_is_not_vacuous() {
         "DESIGN.md is gone, so design-constants and schema-sync never ran"
     );
     // The call-graph pass must be non-vacuous too: a clean
-    // hot-path-alloc / lock-order / panic-reachability run has to mean
-    // "traversed and passed", not "found no roots to start from".
+    // hot-path-alloc run has to mean "traversed and passed", not
+    // "found no roots to start from".
     assert!(
         report.graph.functions > 100 && report.graph.edges > 100,
         "call graph shrank to {} fns / {} edges — did the parser break?",
@@ -71,10 +71,6 @@ fn workspace_scan_is_not_vacuous() {
     assert!(
         report.graph.hot_roots > 0,
         "no hot-path roots: the bench registry or closure synthesis broke"
-    );
-    assert!(
-        report.graph.handler_roots > 0,
-        "no Server request handlers found under crates/serve"
     );
     // Grandfathered debt is expected to exist for now; if it ever hits
     // zero, delete lint.ratchet rather than loosening this test.

@@ -24,7 +24,7 @@
 //!   [`NoProbe`] default), plus the [`Recorder`] sinks for interval
 //!   telemetry and Chrome trace-event export.
 //! * [`pool`] — a generic scoped worker pool ([`run_tasks`]) shared by
-//!   the experiment harness, the serve daemon, and the lint pass.
+//!   the experiment harness and the lint pass.
 //!   Scheduling is slice stealing (DESIGN.md §16): each worker owns a
 //!   contiguous slice of the task indices behind one atomic
 //!   [`pool::SliceCursor`], drains it, then drains the other slices in
@@ -33,11 +33,7 @@
 //!   per-worker scheduler counters, including steal attribution.
 //! * [`obs`] — the observability layer (DESIGN.md §13): log-scale
 //!   histograms ([`LogHistogram`]), the wall-time phase profiler
-//!   behind `tdc prof` ([`ProfProbe`]), pool telemetry types, and
-//!   the span-correlated JSONL event log ([`obs::EventLog`]).
-//! * [`http`] — minimal HTTP/1.1 request/response plumbing over std
-//!   streams (strict parser, deterministic writer), the transport
-//!   under `tdc serve` and its load generator.
+//!   behind `tdc prof` ([`ProfProbe`]), and pool telemetry types.
 //! * [`flat`] — flat hot-path containers (DESIGN.md §15): the
 //!   open-addressed [`FlatMap`] and fixed-capacity [`FixedRing`]
 //!   behind the access path's struct-of-arrays refactor.
@@ -61,7 +57,6 @@
 pub mod dist;
 pub mod flat;
 pub mod hash;
-pub mod http;
 pub mod json;
 pub mod mem;
 pub mod obs;
@@ -77,7 +72,7 @@ pub use hash::{fnv1a_64, shard_of};
 pub use json::{Json, JsonError};
 pub use mem::{CAddr, Cpn, Cycle, PAddr, Ppn, VAddr, Vpn};
 pub use mem::{BLOCKS_PER_PAGE, BLOCK_SHIFT, BLOCK_SIZE, PAGE_SHIFT, PAGE_SIZE};
-pub use obs::{EventKind, LogHistogram, PoolTelemetry, ProfProbe, ProfRecorder};
+pub use obs::{LogHistogram, PoolTelemetry, ProfProbe, ProfRecorder};
 pub use pool::run_tasks;
 pub use probe::{EventGroup, NoProbe, Phase, Probe, ProbeEvent, Recorder, SharedProbe};
 pub use rng::{Pcg32, Rng, SplitMix64};

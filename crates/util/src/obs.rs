@@ -1,5 +1,5 @@
 //! The unified observability layer: log-scale histograms, wall-time
-//! phase profiling, pool telemetry, and the structured event log.
+//! phase profiling, and pool telemetry.
 //!
 //! Everything here is host-side telemetry *about* a run, never input
 //! *to* a run: simulated results depend only on the seed, and every
@@ -23,20 +23,12 @@
 //!   track by [`pool_trace_json`]; serialized fields fixed by
 //!   [`POOL_FIELDS`] and lint-pinned to DESIGN.md §16 (`schema-sync`
 //!   rule).
-//! * [`EventLog`] — the span-correlated JSONL event log
-//!   (`results/events.jsonl`): one compact serde-free JSON object per
-//!   line, fields fixed by [`EVENT_FIELDS`] and lint-pinned to
-//!   DESIGN.md §13 (`schema-sync` rule).
 
 use crate::json::Json;
 use crate::probe::{Phase, Probe};
 use std::cell::RefCell;
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 use std::rc::Rc;
-use std::sync::Mutex;
 use std::time::Instant; // tdc-lint: allow(time-source) host-side telemetry only
 
 // ---------------------------------------------------------------------------
@@ -212,25 +204,6 @@ impl LogHistogram {
             ("p90", Json::from(self.quantile(0.90))),
             ("p99", Json::from(self.quantile(0.99))),
         ])
-    }
-
-    /// Cumulative buckets for Prometheus text exposition: `(le, cum)`
-    /// pairs at power-of-two boundaries (inclusive upper bounds
-    /// `2^k - 1`, which align exactly with the internal bucket grid),
-    /// ending at the first boundary covering the recorded max. The
-    /// caller appends the `+Inf` bucket with [`LogHistogram::count`].
-    pub fn prometheus_buckets(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        for k in 0..=40u32 {
-            let le = (1u64 << k) - 1;
-            let end = bucket_index(le + 1);
-            let cum: u64 = self.counts[..end].iter().sum();
-            out.push((le, cum));
-            if le >= self.max {
-                break;
-            }
-        }
-        out
     }
 }
 
@@ -523,112 +496,6 @@ pub fn pool_trace_json(batches: &[(PoolTelemetry, Vec<String>)]) -> Json {
     ])
 }
 
-// ---------------------------------------------------------------------------
-// Structured event log
-// ---------------------------------------------------------------------------
-
-/// Schema version stamped on every event-log line.
-pub const EVENT_VERSION: u64 = 1;
-
-/// Field names of one `events.jsonl` line, in writer order.
-/// Lint-pinned to the DESIGN.md §13 `events.jsonl` block.
-pub const EVENT_FIELDS: [&str; 6] =
-    ["format_version", "ts_us", "request_id", "span", "event", "detail"];
-
-/// What happened at one event-log emission site. The set is closed
-/// and lint-checked like [`crate::probe::ProbeEvent`]: every variant
-/// must have an emit site outside `crates/util` (`probe-coverage`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// A request arrived (detail: method and target).
-    RequestBegin,
-    /// A request finished (detail: response status).
-    RequestEnd,
-    /// A cell was executed by the engine (detail: cache key).
-    Execute,
-    /// A request joined another in-flight execution of the same cell.
-    DedupJoin,
-    /// A cell was served from the in-memory cache.
-    MemHit,
-    /// A cell was served from the persistent result store.
-    StoreHit,
-    /// A request was turned away by admission control.
-    Reject,
-    /// The engine failed to execute a cell (detail: error).
-    EngineError,
-}
-
-impl EventKind {
-    /// Stable machine-readable name written to the log.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EventKind::RequestBegin => "request_begin",
-            EventKind::RequestEnd => "request_end",
-            EventKind::Execute => "execute",
-            EventKind::DedupJoin => "dedup_join",
-            EventKind::MemHit => "mem_hit",
-            EventKind::StoreHit => "store_hit",
-            EventKind::Reject => "reject",
-            EventKind::EngineError => "engine_error",
-        }
-    }
-}
-
-/// The span-correlated JSONL event log.
-///
-/// One compact JSON object per line with exactly the [`EVENT_FIELDS`]
-/// keys; `ts_us` is microseconds since the log was opened (host time,
-/// so the file is excluded from determinism comparisons). Lines are
-/// flushed as written so the log can be tailed against a live daemon.
-pub struct EventLog {
-    out: Mutex<BufWriter<File>>,
-    start: Instant, // tdc-lint: allow(time-source)
-}
-
-impl fmt::Debug for EventLog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EventLog").finish_non_exhaustive()
-    }
-}
-
-impl EventLog {
-    /// Creates (or truncates) the log at `path`, creating parent
-    /// directories as needed.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        Ok(Self {
-            out: Mutex::new(BufWriter::new(File::create(path)?)),
-            start: Instant::now(), // tdc-lint: allow(time-source)
-        })
-    }
-
-    /// Appends one event line. `request_id` is rendered as `r%06d` so
-    /// the same id is greppable across every span it flows through.
-    pub fn emit(&self, request_id: u64, span: &str, event: EventKind, detail: &str) {
-        let line = Json::obj([
-            ("format_version", Json::from(EVENT_VERSION)),
-            ("ts_us", Json::from(self.start.elapsed().as_micros() as u64)),
-            ("request_id", Json::from(format!("r{request_id:06}"))),
-            ("span", Json::from(span)),
-            ("event", Json::from(event.as_str())),
-            ("detail", Json::from(detail)),
-        ])
-        .to_compact();
-        let mut out = self
-            .out
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        // Telemetry writes are fire-and-forget: a full disk must not
-        // take the serving path down with it.
-        let _ = writeln!(out, "{line}");
-        let _ = out.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -693,7 +560,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.prometheus_buckets(), vec![(0, 0)]);
     }
 
     #[test]
@@ -761,28 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_buckets_are_cumulative_and_cover_max() {
-        let mut h = LogHistogram::new();
-        for v in [1u64, 2, 3, 100, 1000, 5000] {
-            h.record(v);
-        }
-        let buckets = h.prometheus_buckets();
-        let mut prev = 0;
-        for &(le, cum) in &buckets {
-            assert!(cum >= prev, "cumulative counts must be monotonic");
-            let by_hand = [1u64, 2, 3, 100, 1000, 5000]
-                .iter()
-                .filter(|&&v| v <= le)
-                .count() as u64;
-            assert_eq!(cum, by_hand, "le={le}");
-            prev = cum;
-        }
-        let last = buckets.last().expect("non-empty");
-        assert!(last.0 >= h.max());
-        assert_eq!(last.1, h.count());
-    }
-
-    #[test]
     fn prof_recorder_subtracts_nested_spans() {
         use std::thread::sleep;
         use std::time::Duration;
@@ -832,45 +676,6 @@ mod tests {
         assert_eq!(rec.calls(Phase::Translation), 2);
         assert_eq!(rec.histogram(Phase::Translation).count(), 2);
         assert_eq!(rec.attributed_ns(), 4_000);
-    }
-
-    #[test]
-    fn event_log_writes_schema_conforming_lines() {
-        let dir = std::env::temp_dir().join(format!(
-            "tdc-obs-test-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        let path = dir.join("events.jsonl");
-        let log = EventLog::create(&path).expect("create event log");
-        log.emit(7, "request", EventKind::RequestBegin, "POST /sweep");
-        log.emit(7, "cell", EventKind::Execute, "fig1/mcf/tagless");
-        let text = std::fs::read_to_string(&path).expect("read log");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in &lines {
-            let parsed = Json::parse(line).expect("line parses");
-            let Json::Obj(pairs) = &parsed else {
-                panic!("line is not an object")
-            };
-            assert_eq!(pairs.len(), EVENT_FIELDS.len());
-            for field in EVENT_FIELDS {
-                assert!(parsed.get(field).is_some(), "missing {field}");
-            }
-            assert_eq!(
-                parsed.get("format_version").and_then(Json::as_u64),
-                Some(EVENT_VERSION)
-            );
-            assert_eq!(
-                parsed.get("request_id").and_then(Json::as_str),
-                Some("r000007")
-            );
-        }
-        assert_eq!(
-            Json::parse(lines[1]).expect("parses").get("event").and_then(Json::as_str),
-            Some("execute")
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

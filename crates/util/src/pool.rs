@@ -3,8 +3,8 @@
 //! [`run_tasks`] executes one closure call per input item across a fixed
 //! number of OS threads and returns the results **in input order**,
 //! together with the batch's scheduler telemetry. It is the shared
-//! scheduler behind `tdc-harness`'s experiment batches, `tdc-serve`'s
-//! sweep endpoint, and `tdc-lint`'s parallel file scan.
+//! scheduler behind `tdc-harness`'s experiment batches and
+//! `tdc-lint`'s parallel file scan.
 //!
 //! Scheduling (DESIGN.md §16): worker `w` of `k` owns the contiguous
 //! index slice `w·n/k .. (w+1)·n/k`, held as one [`SliceCursor`] that
