@@ -1,4 +1,5 @@
-//! One-call experiment runners for every workload class in the paper.
+//! The one machine builder and the one-call experiment runners for
+//! every workload class in the paper.
 
 use crate::energy::EnergyModel;
 use crate::metrics::RunReport;
@@ -6,7 +7,6 @@ use crate::system::System;
 use tdc_dram_cache::{
     BankInterleave, Ideal, L3System, NoL3, SramTagCache, SystemParams, TaglessCache, VictimPolicy,
 };
-use tdc_sram_cache::TagArrayModel;
 use tdc_util::probe::{NoProbe, Phase, Probe};
 use tdc_util::PAGE_SIZE;
 use tdc_trace::{page_access_counts, profiles, ParsecTraces, SyntheticWorkload, TraceSource, WorkloadProfile};
@@ -68,12 +68,28 @@ impl OrgKind {
 
     /// Builds the organization for the given system parameters.
     pub fn build(&self, params: &SystemParams) -> Box<dyn L3System> {
+        self.build_probed(params, NoProbe)
+    }
+
+    /// Builds the organization with `probe` installed where it takes
+    /// one (the tagless variants). The other organizations are built
+    /// uninstrumented: their DRAM traffic is not probed, but the
+    /// core-side events still flow through the [`System`]'s own probe.
+    pub fn build_probed<P: Probe + Clone + 'static>(
+        &self,
+        params: &SystemParams,
+        probe: P,
+    ) -> Box<dyn L3System> {
         match self {
             OrgKind::NoL3 => Box::new(NoL3::new(params)),
             OrgKind::BankInterleave => Box::new(BankInterleave::new(params)),
             OrgKind::SramTag => Box::new(SramTagCache::new(params)),
-            OrgKind::Tagless => Box::new(TaglessCache::new(params, VictimPolicy::Fifo)),
-            OrgKind::TaglessLru => Box::new(TaglessCache::new(params, VictimPolicy::Lru)),
+            OrgKind::Tagless => {
+                Box::new(TaglessCache::with_probe(params, VictimPolicy::Fifo, probe))
+            }
+            OrgKind::TaglessLru => {
+                Box::new(TaglessCache::with_probe(params, VictimPolicy::Lru, probe))
+            }
             OrgKind::Ideal => Box::new(Ideal::new(params)),
         }
     }
@@ -140,12 +156,15 @@ impl RunConfig {
         self
     }
 
-    fn params(&self, cores: usize, core_asid: Vec<u32>) -> SystemParams {
+    /// The Table 3 machine for one core per entry of `core_asid`, every
+    /// capacity divided by [`CAPACITY_SCALE`] except the SRAM tag
+    /// array's nominal size.
+    fn params(&self, core_asid: Vec<u32>) -> SystemParams {
         let actual = (self.cache_bytes / CAPACITY_SCALE).max(64 * PAGE_SIZE);
         let mut p = SystemParams::with_cache_capacity(actual);
         p.tag_nominal_bytes = self.cache_bytes;
         p.off_pkg.capacity_bytes /= CAPACITY_SCALE;
-        p.cores = cores;
+        p.cores = core_asid.len();
         p.core_asid = core_asid;
         p
     }
@@ -158,151 +177,133 @@ fn scaled(profile: &WorkloadProfile) -> WorkloadProfile {
     p
 }
 
-fn finish(
-    org: &dyn L3System,
-    name: &str,
-    workload: &str,
-    cores: Vec<crate::system::CoreResult>,
-    cache_bytes: u64,
-    is_sram: bool,
-) -> RunReport {
-    let l1_accesses: u64 = cores.iter().map(|c| c.refs).sum();
-    let l2_accesses: u64 = cores.iter().map(|c| c.l1_misses).sum();
-    let makespan = cores.iter().map(|c| c.cycles).max().unwrap_or(0);
-    let leak = if is_sram {
-        TagArrayModel::new(cache_bytes).leakage_mw()
-    } else {
-        0.0
-    };
-    let energy = EnergyModel::paper_default().report(
-        cores.len(),
-        makespan,
-        l1_accesses,
-        l2_accesses,
-        org.energy_pj(),
-        leak,
-    );
-    RunReport {
-        org: name.to_string(),
-        workload: workload.to_string(),
-        cores,
-        l3: org.stats().clone(),
-        in_pkg: org.in_pkg_stats().copied(),
-        off_pkg: *org.off_pkg_stats(),
-        energy,
+/// One assembled simulation cell: the organization under test and one
+/// trace generator per core in a [`System`], ready to run.
+/// [`Job::machine`] builds it; [`Machine::run`] simulates it.
+pub struct Machine<P: Probe = NoProbe> {
+    sys: System<P>,
+    /// The report's workload and organization labels.
+    workload: String,
+    org_label: &'static str,
+    warmup_refs: u64,
+    measured_refs: u64,
+}
+
+impl<P: Probe> Machine<P> {
+    /// Runs every core through its warm-up and measured references and
+    /// assembles the report.
+    pub fn run(self) -> RunReport {
+        let mut sys = self.sys;
+        let cores = sys.run(self.warmup_refs, self.measured_refs);
+        // Report assembly is bookkeeping time too.
+        if sys.probe_mut().prof_enabled() {
+            sys.probe_mut().phase_begin(Phase::Bookkeeping);
+        }
+        let org = sys.l3();
+        let l1_accesses: u64 = cores.iter().map(|c| c.refs).sum();
+        let l2_accesses: u64 = cores.iter().map(|c| c.l1_misses).sum();
+        let makespan = cores.iter().map(|c| c.cycles).max().unwrap_or(0);
+        let energy = EnergyModel::paper_default().report(
+            cores.len(),
+            makespan,
+            l1_accesses,
+            l2_accesses,
+            org.energy_pj(),
+            org.leakage_mw(),
+        );
+        let report = RunReport {
+            org: self.org_label.to_string(),
+            workload: self.workload,
+            cores,
+            l3: org.stats().clone(),
+            in_pkg: org.in_pkg_stats().copied(),
+            off_pkg: *org.off_pkg_stats(),
+            energy,
+        };
+        if sys.probe_mut().prof_enabled() {
+            sys.probe_mut().phase_end(Phase::Bookkeeping);
+        }
+        report
     }
 }
 
-fn run_system<P: Probe>(
-    mut sys: System<P>,
-    workload: &str,
+/// The one machine builder: derives `workload`'s system parameters,
+/// scaled profiles, core address spaces and per-core trace seeds under
+/// `cfg`, and builds the organization with `build`. An `nc_threshold`
+/// cell gets the §5.4 tagless cache instead, with every page that an
+/// offline profiling pass sees fewer times than the threshold marked
+/// non-cacheable. `Err` is as for [`Job::machine`].
+fn assemble<P: Probe + Clone + 'static>(
+    workload: &Workload,
+    nc_threshold: Option<u64>,
     cfg: &RunConfig,
-    is_sram: bool,
-) -> RunReport {
-    let cores = sys.run(cfg.warmup_refs, cfg.measured_refs);
-    // Report assembly is bookkeeping time too.
-    if sys.probe_mut().prof_enabled() {
-        sys.probe_mut().phase_begin(Phase::Bookkeeping);
-    }
-    let name = sys.l3().name().to_string();
-    let report = finish(sys.l3(), &name, workload, cores, cfg.cache_bytes, is_sram);
-    if sys.probe_mut().prof_enabled() {
-        sys.probe_mut().phase_end(Phase::Bookkeeping);
-    }
-    report
-}
-
-/// Builds `org` with `probe` installed where the organization supports
-/// instrumentation (the tagless variants); the other organizations are
-/// built uninstrumented — their DRAM traffic is not probed, but the
-/// core-side events still flow through the [`System`]'s own probe.
-fn build_probed<P: Probe + Clone + 'static>(
-    org: OrgKind,
-    params: &SystemParams,
     probe: P,
-) -> Box<dyn L3System> {
-    match org {
-        OrgKind::Tagless => Box::new(TaglessCache::with_probe(
-            params,
-            VictimPolicy::Fifo,
-            probe,
-        )),
-        OrgKind::TaglessLru => Box::new(TaglessCache::with_probe(
-            params,
-            VictimPolicy::Lru,
-            probe,
-        )),
-        other => other.build(params),
-    }
-}
-
-fn run_single_with<P: Probe + Clone + 'static>(
-    bench: &str,
-    org: OrgKind,
-    cfg: &RunConfig,
-    mut probe: P,
-) -> Option<RunReport> {
-    if probe.prof_enabled() {
-        probe.phase_begin(Phase::Bookkeeping);
-    }
-    let profile = scaled(profiles::spec(bench)?);
-    let params = cfg.params(1, vec![0]);
-    let trace: Box<dyn TraceSource> =
-        Box::new(SyntheticWorkload::new(profile.clone(), cfg.seed, 0));
-    let sys = System::with_probe(
-        build_probed(org, &params, probe.clone()),
-        vec![trace],
-        probe.clone(),
-    );
-    if probe.prof_enabled() {
-        probe.phase_end(Phase::Bookkeeping);
-    }
-    Some(run_system(sys, profile.name, cfg, org == OrgKind::SramTag))
+    build: impl FnOnce(SystemParams, P) -> Box<dyn L3System>,
+) -> Result<Machine<P>, String> {
+    let missing = || format!("unknown workload {workload:?}");
+    let seed = cfg.seed;
+    let mut nc_counts = None;
+    let (name, core_asid, traces): (String, Vec<u32>, Vec<Box<dyn TraceSource>>) =
+        match (workload, nc_threshold) {
+            (Workload::Spec(b), nc) => {
+                let profile = scaled(profiles::spec(b).ok_or_else(missing)?);
+                let name = profile.name.to_string();
+                let trace = SyntheticWorkload::new(profile, seed, 0);
+                if let Some(threshold) = nc {
+                    // The offline profiling pass sees the exact trace
+                    // the run will.
+                    let refs = cfg.warmup_refs + cfg.measured_refs;
+                    nc_counts = Some((threshold, page_access_counts(trace.clone(), refs)));
+                }
+                (name, vec![0], vec![Box::new(trace)])
+            }
+            (w, Some(_)) => {
+                return Err(format!("non-cacheable study needs a Spec workload, got {w:?}"))
+            }
+            (Workload::Mix(m), None) => {
+                let four = profiles::mix(m).ok_or_else(missing)?;
+                let traces = four.iter().enumerate().map(|(i, p)| -> Box<dyn TraceSource> {
+                    Box::new(SyntheticWorkload::new(scaled(p), seed ^ ((i as u64 + 1) << 48), 0))
+                });
+                (m.to_uppercase(), vec![0, 1, 2, 3], traces.collect())
+            }
+            (Workload::Parsec(b), None) => {
+                let profile = scaled(profiles::parsec(b).ok_or_else(missing)?);
+                let parsec = ParsecTraces::with_profile(profile, seed);
+                let traces = (0..parsec.threads())
+                    .map(|t| -> Box<dyn TraceSource> { Box::new(parsec.thread(t)) })
+                    .collect();
+                (parsec.profile().name.to_string(), vec![0; 4], traces)
+            }
+        };
+    let params = cfg.params(core_asid);
+    let org: Box<dyn L3System> = match nc_counts {
+        None => build(params, probe.clone()),
+        Some((threshold, counts)) => {
+            let mut l3 = TaglessCache::with_probe(&params, VictimPolicy::Fifo, probe.clone());
+            for (vpn, n) in counts {
+                if n < threshold {
+                    l3.set_non_cacheable(0, vpn);
+                }
+            }
+            Box::new(l3)
+        }
+    };
+    let org_label = if nc_threshold.is_some() { "cTLB+NC" } else { org.name() };
+    Ok(Machine {
+        sys: System::with_probe(org, traces, probe),
+        workload: name,
+        org_label,
+        warmup_refs: cfg.warmup_refs,
+        measured_refs: cfg.measured_refs,
+    })
 }
 
 /// Runs one single-programmed SPEC benchmark on one core (Figs. 7/8).
 ///
 /// Returns `None` for an unknown benchmark name.
 pub fn run_single(bench: &str, org: OrgKind, cfg: &RunConfig) -> Option<RunReport> {
-    run_single_with(bench, org, cfg, NoProbe)
-}
-
-fn run_mix_with<P: Probe + Clone + 'static>(
-    mix_name: &str,
-    org: OrgKind,
-    cfg: &RunConfig,
-    mut probe: P,
-) -> Option<RunReport> {
-    if probe.prof_enabled() {
-        probe.phase_begin(Phase::Bookkeeping);
-    }
-    let four = profiles::mix(mix_name)?;
-    let params = cfg.params(4, vec![0, 1, 2, 3]);
-    let traces: Vec<Box<dyn TraceSource>> = four
-        .iter()
-        .enumerate()
-        .map(|(i, p)| -> Box<dyn TraceSource> {
-            Box::new(SyntheticWorkload::new(
-                scaled(p),
-                cfg.seed ^ ((i as u64 + 1) << 48),
-                0,
-            ))
-        })
-        .collect();
-    let sys = System::with_probe(
-        build_probed(org, &params, probe.clone()),
-        traces,
-        probe.clone(),
-    );
-    if probe.prof_enabled() {
-        probe.phase_end(Phase::Bookkeeping);
-    }
-    Some(run_system(
-        sys,
-        &mix_name.to_uppercase(),
-        cfg,
-        org == OrgKind::SramTag,
-    ))
+    Job::new(Workload::Spec(bench.to_string()), org, *cfg).execute().ok()
 }
 
 /// Runs one Table 5 multi-programmed mix on four cores with private
@@ -310,37 +311,7 @@ fn run_mix_with<P: Probe + Clone + 'static>(
 ///
 /// Returns `None` for an unknown mix name.
 pub fn run_mix(mix_name: &str, org: OrgKind, cfg: &RunConfig) -> Option<RunReport> {
-    run_mix_with(mix_name, org, cfg, NoProbe)
-}
-
-fn run_parsec_with<P: Probe + Clone + 'static>(
-    bench: &str,
-    org: OrgKind,
-    cfg: &RunConfig,
-    mut probe: P,
-) -> Option<RunReport> {
-    if probe.prof_enabled() {
-        probe.phase_begin(Phase::Bookkeeping);
-    }
-    let parsec = ParsecTraces::with_profile(scaled(profiles::parsec(bench)?), cfg.seed);
-    let params = cfg.params(4, vec![0; 4]);
-    let traces: Vec<Box<dyn TraceSource>> = (0..parsec.threads())
-        .map(|t| -> Box<dyn TraceSource> { Box::new(parsec.thread(t)) })
-        .collect();
-    let sys = System::with_probe(
-        build_probed(org, &params, probe.clone()),
-        traces,
-        probe.clone(),
-    );
-    if probe.prof_enabled() {
-        probe.phase_end(Phase::Bookkeeping);
-    }
-    Some(run_system(
-        sys,
-        parsec.profile().name,
-        cfg,
-        org == OrgKind::SramTag,
-    ))
+    Job::new(Workload::Mix(mix_name.to_string()), org, *cfg).execute().ok()
 }
 
 /// Runs one PARSEC benchmark with four threads sharing an address space
@@ -348,43 +319,7 @@ fn run_parsec_with<P: Probe + Clone + 'static>(
 ///
 /// Returns `None` for an unknown benchmark name.
 pub fn run_parsec(bench: &str, org: OrgKind, cfg: &RunConfig) -> Option<RunReport> {
-    run_parsec_with(bench, org, cfg, NoProbe)
-}
-
-fn run_single_tagless_nc_with<P: Probe + Clone + 'static>(
-    bench: &str,
-    cfg: &RunConfig,
-    threshold: u64,
-    mut probe: P,
-) -> Option<RunReport> {
-    if probe.prof_enabled() {
-        probe.phase_begin(Phase::Bookkeeping);
-    }
-    let profile = scaled(profiles::spec(bench)?);
-    let params = cfg.params(1, vec![0]);
-    let mut l3 = TaglessCache::with_probe(&params, VictimPolicy::Fifo, probe.clone());
-
-    // Offline profiling pass over the exact trace the run will see.
-    let profiling = SyntheticWorkload::new(profile.clone(), cfg.seed, 0);
-    let counts = page_access_counts(profiling, cfg.warmup_refs + cfg.measured_refs);
-    let mut flagged = 0u64;
-    for (vpn, n) in &counts {
-        if *n < threshold {
-            l3.set_non_cacheable(0, *vpn);
-            flagged += 1;
-        }
-    }
-    let _ = flagged;
-
-    let trace: Box<dyn TraceSource> =
-        Box::new(SyntheticWorkload::new(profile.clone(), cfg.seed, 0));
-    let sys = System::with_probe(Box::new(l3), vec![trace], probe.clone());
-    if probe.prof_enabled() {
-        probe.phase_end(Phase::Bookkeeping);
-    }
-    let mut report = run_system(sys, profile.name, cfg, false);
-    report.org = "cTLB+NC".to_string();
-    Some(report)
+    Job::new(Workload::Parsec(bench.to_string()), org, *cfg).execute().ok()
 }
 
 /// Runs a single-programmed benchmark on the tagless cache with the
@@ -393,7 +328,7 @@ fn run_single_tagless_nc_with<P: Probe + Clone + 'static>(
 ///
 /// Returns `None` for an unknown benchmark name.
 pub fn run_single_tagless_nc(bench: &str, cfg: &RunConfig, threshold: u64) -> Option<RunReport> {
-    run_single_tagless_nc_with(bench, cfg, threshold, NoProbe)
+    Job::spec_nc(bench, threshold, *cfg).execute().ok()
 }
 
 /// Runs one single-programmed benchmark on a custom-built organization
@@ -407,13 +342,8 @@ pub fn run_single_custom(
     cfg: &RunConfig,
     build: impl FnOnce(SystemParams) -> Box<dyn L3System>,
 ) -> Option<RunReport> {
-    let profile = scaled(profiles::spec(bench)?);
-    let params = cfg.params(1, vec![0]);
-    let l3 = build(params);
-    let trace: Box<dyn TraceSource> =
-        Box::new(SyntheticWorkload::new(profile.clone(), cfg.seed, 0));
-    let sys = System::new(l3, vec![trace]);
-    Some(run_system(sys, profile.name, cfg, false))
+    let spec = Workload::Spec(bench.to_string());
+    Some(assemble(&spec, None, cfg, NoProbe, |params, _| build(params)).ok()?.run())
 }
 
 /// The workload half of a simulation cell: which trace generator to
@@ -517,6 +447,17 @@ impl Job {
         )
     }
 
+    /// Assembles the cell's machine, with `probe` on the cores and in
+    /// the organization where it takes one (the tagless variants).
+    ///
+    /// `Err` names an unknown workload, or a non-cacheable study on a
+    /// workload that is not `Spec`.
+    pub fn machine<P: Probe + Clone + 'static>(&self, probe: P) -> Result<Machine<P>, String> {
+        assemble(&self.workload, self.nc_threshold, &self.cfg, probe, |params, probe| {
+            self.org.build_probed(&params, probe)
+        })
+    }
+
     /// Runs the cell. `Err` names the unknown workload.
     pub fn execute(&self) -> Result<RunReport, String> {
         run_job_probed(self, NoProbe)
@@ -531,22 +472,18 @@ impl Job {
 /// `Err` names the unknown workload.
 pub fn run_job_probed<P: Probe + Clone + 'static>(
     job: &Job,
-    probe: P,
+    mut probe: P,
 ) -> Result<RunReport, String> {
-    let missing = || format!("unknown workload {:?}", job.workload);
-    match (&job.workload, job.nc_threshold) {
-        (Workload::Spec(b), Some(t)) => {
-            run_single_tagless_nc_with(b, &job.cfg, t, probe).ok_or_else(missing)
-        }
-        (Workload::Spec(b), None) => {
-            run_single_with(b, job.org, &job.cfg, probe).ok_or_else(missing)
-        }
-        (Workload::Mix(m), None) => run_mix_with(m, job.org, &job.cfg, probe).ok_or_else(missing),
-        (Workload::Parsec(b), None) => {
-            run_parsec_with(b, job.org, &job.cfg, probe).ok_or_else(missing)
-        }
-        (w, Some(_)) => Err(format!("non-cacheable study needs a Spec workload, got {w:?}")),
+    // Set-up is bookkeeping time; the run loop and the report assembly
+    // open their own spans.
+    if probe.prof_enabled() {
+        probe.phase_begin(Phase::Bookkeeping);
     }
+    let machine = job.machine(probe.clone());
+    if probe.prof_enabled() {
+        probe.phase_end(Phase::Bookkeeping);
+    }
+    Ok(machine?.run())
 }
 
 #[cfg(test)]
@@ -575,7 +512,7 @@ mod tests {
         let cfg = tiny();
         for org in OrgKind::MAIN {
             let r = run_single("omnetpp", org, &cfg).expect("known benchmark");
-            assert_eq!(r.org, org.build(&cfg.params(1, vec![0])).name());
+            assert_eq!(r.org, org.build(&cfg.params(vec![0])).name());
             assert!(r.ipc_total() > 0.0, "{} produced zero IPC", r.org);
             assert!(r.energy.total_j > 0.0);
         }
@@ -614,6 +551,19 @@ mod tests {
         })
         .expect("known benchmark");
         assert_eq!(r.org, "cTLB-LRU");
+    }
+
+    #[test]
+    fn custom_build_of_a_stock_org_matches_the_job() {
+        // The ablation path and the figure path assemble one machine:
+        // every report field agrees, energy (the SRAM tag array's
+        // leakage) included.
+        let cfg = RunConfig::scaled(2015, 0.02);
+        for org in OrgKind::MAIN.into_iter().chain([OrgKind::TaglessLru]) {
+            let custom = run_single_custom("milc", &cfg, |p| org.build(&p)).expect("known");
+            let job = run_single("milc", org, &cfg).expect("known benchmark");
+            assert_eq!(custom, job, "{org:?}");
+        }
     }
 
     #[test]

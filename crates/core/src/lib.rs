@@ -13,10 +13,13 @@
 //!   in global time order.
 //! * [`energy`] — McPAT-substitute energy accounting and EDP.
 //! * [`amat`] — the paper's analytic AMAT model (Equations 1–5).
-//! * [`experiment`] — one-call runners for every workload class the
-//!   paper evaluates (single-programmed SPEC, Table 5 mixes, PARSEC) on
-//!   every organization, producing [`RunReport`]s the bench harnesses
-//!   and examples print.
+//! * [`experiment`] — the one machine builder ([`Job::machine`] → a
+//!   [`Machine`], whose [`Machine::run`] yields a [`RunReport`]) and
+//!   the one-call runners built on it for every workload class the
+//!   paper evaluates: [`run_single`] (single-programmed SPEC),
+//!   [`run_mix`] (Table 5 mixes), [`run_parsec`] (PARSEC) and
+//!   [`run_single_tagless_nc`] (the §5.4 non-cacheable study), on every
+//!   organization.
 //!
 //! # Examples
 //!
@@ -40,7 +43,8 @@ pub use amat::{AmatInputs, AmatModel};
 pub use core_model::{CoreParams, CoreState};
 pub use energy::{EnergyModel, EnergyReport};
 pub use experiment::{
-    run_job_probed, run_mix, run_parsec, run_single, Job, OrgKind, RunConfig, Workload,
+    run_job_probed, run_mix, run_parsec, run_single, run_single_tagless_nc, Job, Machine, OrgKind,
+    RunConfig, Workload,
 };
 pub use metrics::RunReport;
 pub use system::{CoreResult, System};

@@ -7,7 +7,7 @@ use tdc_dram_cache::L3Stats;
 use tdc_util::Cycle;
 
 /// The complete result of simulating one (workload, organization) pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Organization label (e.g. `"cTLB"`).
     pub org: String,

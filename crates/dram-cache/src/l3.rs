@@ -270,6 +270,12 @@ pub trait L3System {
     /// Total DRAM + tag energy consumed so far, in pJ.
     fn energy_pj(&self) -> f64;
 
+    /// Static leakage power of the on-die structures this organization
+    /// adds, in mW: the SRAM tag array's, none for the others.
+    fn leakage_mw(&self) -> f64 {
+        0.0
+    }
+
     /// Statistics of the in-package device, if this organization has
     /// one.
     fn in_pkg_stats(&self) -> Option<&tdc_dram::DramStats>;

@@ -187,6 +187,10 @@ impl L3System for SramTagCache {
         self.in_pkg.stats().energy_pj + self.off_pkg.stats().energy_pj + self.stats.tag_energy_pj
     }
 
+    fn leakage_mw(&self) -> f64 {
+        self.tag_model.leakage_mw()
+    }
+
     fn in_pkg_stats(&self) -> Option<&DramStats> {
         Some(self.in_pkg.stats())
     }

@@ -20,7 +20,7 @@ use crate::figures::{generate, jobs_for, ALL_IDS};
 use crate::harness::Harness;
 use crate::shard::{parse_spec, plan, shard_jobs};
 use crate::sink::{write_metrics, write_results};
-use crate::store::{baseline_fingerprint, ResultStore};
+use crate::store::{ResultStore, MODEL_FINGERPRINT};
 use crate::SEED;
 
 /// Parsed command-line options.
@@ -219,8 +219,7 @@ pub fn run(args: &[String]) -> i32 {
                     .flat_map(|id| jobs_for(id, &cfg).into_iter().flatten())
                     .collect(),
             };
-            let cwd = std::env::current_dir().unwrap_or_default();
-            let opened = ResultStore::open(dir, &baseline_fingerprint(&cwd))
+            let opened = ResultStore::open(dir, MODEL_FINGERPRINT)
                 .and_then(|store| warm_start(&harness, &store, &jobs).map(|n| (store, n)));
             match opened {
                 Ok((store, (warmed, skipped))) => {

@@ -33,7 +33,7 @@
 //!   checked-in figure snapshot (non-zero exit on drift).
 //! * [`store`] — the content-addressed result store behind
 //!   `--cache-dir` (DESIGN.md §12): the one way reports leave a
-//!   harness and come back, stamped with the baseline fingerprint.
+//!   harness and come back, stamped with the model fingerprint.
 //! * [`shard`] — the deduplicated job plan and its hash partition:
 //!   `tdc shard K/N --cache-dir D` runs one slice into a store, and
 //!   `tdc all --cache-dir` over the union of the shards' stores

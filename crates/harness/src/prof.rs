@@ -23,13 +23,11 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Instant; // tdc-lint: allow(time-source) profiling the host run itself
 use tdc_core::experiment::run_job_probed;
-use tdc_core::RunConfig;
 use tdc_util::obs::{ProfProbe, ProfRecorder};
 use tdc_util::probe::Phase;
 use tdc_util::Json;
 
-use crate::trace::build_job;
-use crate::SEED;
+use crate::trace::{cell_job, CellArgs};
 
 /// Schema version stamped on `prof.json`.
 pub const PROF_VERSION: u64 = 1;
@@ -66,55 +64,20 @@ struct ProfOptions {
 }
 
 fn parse(args: &[String]) -> Result<ProfOptions, String> {
-    let mut opts = ProfOptions {
-        cell: String::new(),
-        scale: None,
-        seed: SEED,
-        out: PathBuf::from("results"),
-        min_attributed: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .map(|s| s.to_string())
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--scale" => {
-                let f = value("--scale")?
-                    .parse::<f64>()
-                    .map_err(|_| "--scale needs a number".to_string())?;
-                if f <= 0.0 {
-                    return Err("--scale must be positive".into());
-                }
-                opts.scale = Some(f);
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse::<u64>()
-                    .map_err(|_| "--seed needs an unsigned integer".to_string())?
-            }
-            "--out" => opts.out = PathBuf::from(value("--out")?),
-            "--min-attributed" => {
-                let pct = value("--min-attributed")?
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|p| (0.0..=100.0).contains(p))
-                    .ok_or("--min-attributed needs a percentage in 0..=100")?;
-                opts.min_attributed = Some(pct);
-            }
-            "-h" | "--help" => return Err(USAGE.to_string()),
-            cell if opts.cell.is_empty() && !cell.starts_with('-') => {
-                opts.cell = cell.to_string()
-            }
-            other => return Err(format!("unknown argument '{other}'\n\n{USAGE}")),
+    let mut min_attributed = None;
+    let CellArgs { cell, scale, seed, out } = CellArgs::parse(args, USAGE, |flag, value| {
+        if flag != "--min-attributed" {
+            return Ok(false);
         }
-    }
-    if opts.cell.is_empty() {
-        return Err(USAGE.to_string());
-    }
-    Ok(opts)
+        let pct = value()?
+            .parse::<f64>()
+            .ok()
+            .filter(|p| (0.0..=100.0).contains(p))
+            .ok_or("--min-attributed needs a percentage in 0..=100")?;
+        min_attributed = Some(pct);
+        Ok(true)
+    })?;
+    Ok(ProfOptions { cell, scale, seed, out, min_attributed })
 }
 
 /// Builds the machine-readable report: phase self-times, call counts,
@@ -202,11 +165,7 @@ pub fn run(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let cfg = match opts.scale {
-        Some(f) => RunConfig::scaled(opts.seed, f),
-        None => RunConfig::from_env(opts.seed),
-    };
-    let job = match build_job(&opts.cell, cfg) {
+    let job = match cell_job(&opts.cell, opts.scale, opts.seed) {
         Ok(j) => j,
         Err(msg) => {
             eprintln!("tdc prof: {msg}");
@@ -216,8 +175,8 @@ pub fn run(args: &[String]) -> i32 {
     eprintln!(
         "tdc prof: {} | warmup={} measured={} refs/core",
         job.label(),
-        cfg.warmup_refs,
-        cfg.measured_refs
+        job.cfg.warmup_refs,
+        job.cfg.measured_refs
     );
 
     let probe = ProfProbe::new();

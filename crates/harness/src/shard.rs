@@ -20,7 +20,7 @@
 //! A shard writes its cells to the result store
 //! ([`crate::store`], DESIGN.md §12) with the same code as `tdc all
 //! --cache-dir`. Content addressing replaces a merge step: seed,
-//! capacity and run lengths are in every key, the baseline fingerprint
+//! capacity and run lengths are in every key, the model fingerprint
 //! is in every entry, and equal keys hold equal bytes, so a union of
 //! stores needs no validation. A missing shard only means its cells
 //! are simulated by the final `tdc all`.

@@ -9,17 +9,17 @@
 //!
 //! ```text
 //! <cache-dir>/cell-<fnv64 hex>.json
-//!   { "format_version": 2, "key": "<cache key>",
-//!     "baseline_fingerprint": "fnv:<hex>", "report": { ... } }
+//!   { "format_version": 3, "key": "<cache key>",
+//!     "model_fingerprint": "fnv:<hex>", "report": { ... } }
 //! ```
 //!
 //! Cache keys are injective over `(workload, org, seed, capacity, run
 //! lengths)`, so entries written at one configuration never match
 //! lookups from another. The key does not name the simulator's
-//! version; the [`baseline_fingerprint`] does, because any model
-//! change that moves a figure must also regenerate
-//! `baselines/scale-0.25`. A store opened under one fingerprint skips
-//! entries written under any other.
+//! version; the [`MODEL_FINGERPRINT`] does: a hash of the sources of
+//! every crate a report depends on, computed by the harness's build
+//! script. A store opened under one fingerprint skips entries written
+//! under any other.
 //!
 //! Entries are immutable: the first write of a key wins, and two
 //! writes of one key hold equal bytes. So the union of several stores
@@ -33,17 +33,19 @@ use std::io;
 use std::path::{Path, PathBuf};
 use tdc_util::{fnv1a_64, Json};
 
+include!(concat!(env!("OUT_DIR"), "/model_fingerprint.rs"));
+
 /// Version stamp of the on-disk entry wrapper; entries with any other
 /// version are skipped on load (never silently reinterpreted).
-pub const STORE_VERSION: u64 = 2;
+pub const STORE_VERSION: u64 = 3;
 
 /// Every field of one store entry, in serialization order. DESIGN.md
 /// §12 documents this schema; the `schema-sync` lint rule keeps the
 /// two in sync.
-pub const STORE_FIELDS: [&str; 4] = ["format_version", "key", "baseline_fingerprint", "report"];
+pub const STORE_FIELDS: [&str; 4] = ["format_version", "key", "model_fingerprint", "report"];
 
 /// A directory of `cell-*.json` entries keyed by job cache key, read
-/// and written under one baseline fingerprint.
+/// and written under one model fingerprint.
 pub struct ResultStore {
     dir: PathBuf,
     fingerprint: String,
@@ -83,10 +85,7 @@ impl ResultStore {
         let entry = Json::obj([
             ("format_version", Json::from(STORE_VERSION)),
             ("key", Json::from(key)),
-            (
-                "baseline_fingerprint",
-                Json::from(self.fingerprint.as_str()),
-            ),
+            ("model_fingerprint", Json::from(self.fingerprint.as_str())),
             ("report", report.clone()),
         ]);
         // Write-then-rename so a concurrent reader never sees a torn
@@ -105,7 +104,7 @@ impl ResultStore {
         if entry.get("format_version").and_then(Json::as_u64) != Some(STORE_VERSION) {
             return None;
         }
-        if entry.get("baseline_fingerprint").and_then(Json::as_str)
+        if entry.get("model_fingerprint").and_then(Json::as_str)
             != Some(self.fingerprint.as_str())
         {
             return None;
@@ -142,45 +141,6 @@ impl ResultStore {
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         Ok((entries, skipped))
     }
-}
-
-/// A stable fingerprint of the checked-in regression baseline, which
-/// stands in for the simulator's version in every store entry. Walks
-/// up from `start` looking for `baselines/scale-0.25` and hashes its
-/// sorted file names and contents; `"none"` when no baseline directory
-/// is found (e.g. when running outside a checkout).
-pub fn baseline_fingerprint(start: &Path) -> String {
-    let mut dir = Some(start);
-    while let Some(d) = dir {
-        let candidate = d.join("baselines").join("scale-0.25");
-        if candidate.is_dir() {
-            return fingerprint_dir(&candidate);
-        }
-        dir = d.parent();
-    }
-    "none".to_string()
-}
-
-fn fingerprint_dir(dir: &Path) -> String {
-    let mut names: Vec<String> = match fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().is_file())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .collect(),
-        Err(_) => return "none".to_string(),
-    };
-    names.sort();
-    let mut acc = String::new();
-    for name in names {
-        acc.push_str(&name);
-        acc.push('\n');
-        if let Ok(text) = fs::read_to_string(dir.join(&name)) {
-            acc.push_str(&text);
-        }
-        acc.push('\n');
-    }
-    format!("fnv:{:016x}", fnv1a_64(&acc))
 }
 
 #[cfg(test)]
@@ -241,7 +201,7 @@ mod tests {
             Json::obj([
                 ("format_version", Json::from(99u64)),
                 ("key", Json::from("zzz")),
-                ("baseline_fingerprint", Json::from("fnv:a")),
+                ("model_fingerprint", Json::from("fnv:a")),
                 ("report", doc(9)),
             ])
             .pretty(),
@@ -271,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn entries_from_another_baseline_are_skipped() {
+    fn entries_from_another_model_are_skipped() {
         let dir = tmp_dir("fingerprint");
         let a = ResultStore::open(&dir, "fnv:a").expect("store opens");
         assert!(a.put("k", &doc(3)).expect("put"));
@@ -283,26 +243,5 @@ mod tests {
             "a foreign build's entry loaded"
         );
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_content_sensitive() {
-        let dir = tmp_dir("fp");
-        let base = dir.join("baselines").join("scale-0.25");
-        fs::create_dir_all(&base).expect("baseline dir");
-        fs::write(base.join("figA.json"), "{\"a\": 1}").expect("write figure");
-        let a = baseline_fingerprint(&dir);
-        assert_eq!(a, baseline_fingerprint(&dir));
-        assert!(a.starts_with("fnv:"), "{a}");
-        fs::write(base.join("figA.json"), "{\"a\": 2}").expect("rewrite figure");
-        assert_ne!(
-            a,
-            baseline_fingerprint(&dir),
-            "content change must change it"
-        );
-        // Nested start dir walks up to the same baseline.
-        assert_ne!(baseline_fingerprint(&base), "none");
-        fs::remove_dir_all(&dir).expect("cleanup");
-        assert_eq!(baseline_fingerprint(Path::new("/nonexistent-tdc")), "none");
     }
 }

@@ -66,31 +66,18 @@ struct TraceOptions {
 }
 
 fn parse(args: &[String]) -> Result<TraceOptions, String> {
-    let mut opts = TraceOptions {
-        cell: String::new(),
-        epoch: DEFAULT_EPOCH_CYCLES,
-        events: None,
-        scale: None,
-        seed: SEED,
-        out: PathBuf::from("results"),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .map(|s| s.to_string())
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
+    let (mut epoch, mut events) = (DEFAULT_EPOCH_CYCLES, None);
+    let CellArgs { cell, scale, seed, out } = CellArgs::parse(args, USAGE, |flag, value| {
+        match flag {
             "--epoch" => {
-                opts.epoch = value("--epoch")?
+                epoch = value()?
                     .parse::<u64>()
                     .ok()
                     .filter(|&e| e > 0)
                     .ok_or("--epoch needs a positive integer")?
             }
             "--events" => {
-                let list = value("--events")?;
+                let list = value()?;
                 let mut groups = Vec::new();
                 for name in list.split(',').filter(|s| !s.is_empty()) {
                     groups.push(EventGroup::from_name(name).ok_or_else(|| {
@@ -103,34 +90,84 @@ fn parse(args: &[String]) -> Result<TraceOptions, String> {
                 if groups.is_empty() {
                     return Err("--events needs at least one group".into());
                 }
-                opts.events = Some(groups);
+                events = Some(groups);
             }
-            "--scale" => {
-                let f = value("--scale")?
-                    .parse::<f64>()
-                    .map_err(|_| "--scale needs a number".to_string())?;
-                if f <= 0.0 {
-                    return Err("--scale must be positive".into());
-                }
-                opts.scale = Some(f);
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse::<u64>()
-                    .map_err(|_| "--seed needs an unsigned integer".to_string())?
-            }
-            "--out" => opts.out = PathBuf::from(value("--out")?),
-            "-h" | "--help" => return Err(USAGE.to_string()),
-            cell if opts.cell.is_empty() && !cell.starts_with('-') => {
-                opts.cell = cell.to_string()
-            }
-            other => return Err(format!("unknown argument '{other}'\n\n{USAGE}")),
+            _ => return Ok(false),
         }
+        Ok(true)
+    })?;
+    Ok(TraceOptions { cell, epoch, events, scale, seed, out })
+}
+
+/// The command line `tdc trace` and `tdc prof` share: the
+/// `<workload>/<org>` cell, `--scale`, `--seed`, `--out` and `-h`.
+pub(crate) struct CellArgs {
+    pub(crate) cell: String,
+    pub(crate) scale: Option<f64>,
+    pub(crate) seed: u64,
+    pub(crate) out: PathBuf,
+}
+
+impl CellArgs {
+    /// Parses `args`, handing every flag it does not know to `own`
+    /// together with a reader for the flag's value; `own` returns
+    /// whether it knew the flag. `usage` is the command's help text.
+    pub(crate) fn parse(
+        args: &[String],
+        usage: &str,
+        mut own: impl FnMut(&str, &mut dyn FnMut() -> Result<String, String>) -> Result<bool, String>,
+    ) -> Result<Self, String> {
+        let mut parsed = Self {
+            cell: String::new(),
+            scale: None,
+            seed: SEED,
+            out: PathBuf::from("results"),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let mut value = || it.next().cloned().ok_or_else(|| format!("{arg} needs a value"));
+            match arg.as_str() {
+                "--scale" => {
+                    let f = value()?
+                        .parse::<f64>()
+                        .map_err(|_| "--scale needs a number".to_string())?;
+                    if f <= 0.0 {
+                        return Err("--scale must be positive".into());
+                    }
+                    parsed.scale = Some(f);
+                }
+                "--seed" => {
+                    parsed.seed = value()?
+                        .parse::<u64>()
+                        .map_err(|_| "--seed needs an unsigned integer".to_string())?
+                }
+                "--out" => parsed.out = PathBuf::from(value()?),
+                "-h" | "--help" => return Err(usage.to_string()),
+                cell if parsed.cell.is_empty() && !cell.starts_with('-') => {
+                    parsed.cell = cell.to_string()
+                }
+                other => {
+                    if !own(other, &mut value)? {
+                        return Err(format!("unknown argument '{other}'\n\n{usage}"));
+                    }
+                }
+            }
+        }
+        if parsed.cell.is_empty() {
+            return Err(usage.to_string());
+        }
+        Ok(parsed)
     }
-    if opts.cell.is_empty() {
-        return Err(USAGE.to_string());
-    }
-    Ok(opts)
+}
+
+/// Resolves a parsed cell into its job: `--scale` (else `TDC_SCALE`,
+/// else full length) and `--seed` give the run configuration.
+pub(crate) fn cell_job(cell: &str, scale: Option<f64>, seed: u64) -> Result<Job, String> {
+    let cfg = match scale {
+        Some(f) => RunConfig::scaled(seed, f),
+        None => RunConfig::from_env(seed),
+    };
+    build_job(cell, cfg)
 }
 
 /// Parses an organization label (the `tdc trace` half of a cell id).
@@ -165,9 +202,8 @@ fn parse_workload(s: &str) -> Option<Workload> {
     find(&profiles::PARSEC_NAMES).map(Workload::Parsec)
 }
 
-/// Resolves a `<workload>/<org>` cell id into a runnable job; shared
-/// with `tdc prof`.
-pub(crate) fn build_job(cell: &str, cfg: RunConfig) -> Result<Job, String> {
+/// Resolves a `<workload>/<org>` cell id into a runnable job.
+fn build_job(cell: &str, cfg: RunConfig) -> Result<Job, String> {
     let (wl, org) = cell
         .split_once('/')
         .ok_or_else(|| format!("cell '{cell}' is not of the form <workload>/<org>"))?;
@@ -189,11 +225,7 @@ pub fn run(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let cfg = match opts.scale {
-        Some(f) => RunConfig::scaled(opts.seed, f),
-        None => RunConfig::from_env(opts.seed),
-    };
-    let job = match build_job(&opts.cell, cfg) {
+    let job = match cell_job(&opts.cell, opts.scale, opts.seed) {
         Ok(j) => j,
         Err(msg) => {
             eprintln!("tdc trace: {msg}");
@@ -210,8 +242,8 @@ pub fn run(args: &[String]) -> i32 {
         "tdc trace: {} | epoch={} cycles | warmup={} measured={} refs/core",
         job.label(),
         opts.epoch,
-        cfg.warmup_refs,
-        cfg.measured_refs
+        job.cfg.warmup_refs,
+        job.cfg.measured_refs
     );
     let report = match run_job_probed(&job, probe.clone()) {
         Ok(r) => r,

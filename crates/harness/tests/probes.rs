@@ -38,6 +38,8 @@ fn probed_runs_match_unprobed_runs_byte_for_byte() {
         job(Workload::Spec("milc".into()), OrgKind::TaglessLru),
         job(Workload::Mix("MIX1".into()), OrgKind::Tagless),
         job(Workload::Spec("mcf".into()), OrgKind::SramTag),
+        job(Workload::Parsec("swaptions".into()), OrgKind::Tagless),
+        Job::spec_nc("GemsFDTD", 32, tiny()),
     ];
     for cell in &cells {
         let plain = cell.execute().expect("unprobed run");
@@ -68,6 +70,8 @@ fn profiled_runs_match_unprobed_runs_byte_for_byte() {
     let cells = [
         job(Workload::Spec("mcf".into()), OrgKind::Tagless),
         job(Workload::Spec("milc".into()), OrgKind::NoL3),
+        job(Workload::Parsec("swaptions".into()), OrgKind::Tagless),
+        Job::spec_nc("GemsFDTD", 32, tiny()),
     ];
     for cell in &cells {
         let plain = cell.execute().expect("unprobed run");

@@ -9,12 +9,15 @@
 //!   are machine-local telemetry);
 //! * a union missing a shard is not an error: its cells are simulated
 //!   and the artifacts still match;
-//! * a figure run warm-starts from the store its previous run wrote.
+//! * a figure run warm-starts from the store its previous run wrote;
+//! * every entry carries the model fingerprint compiled into `tdc`,
+//!   wherever `tdc` runs.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use tdc_harness::store::MODEL_FINGERPRINT;
 use tdc_util::Json;
 
 fn temp_base(tag: &str) -> PathBuf {
@@ -166,5 +169,23 @@ fn batch_cache_dir_warm_starts_from_the_same_store() {
         fs::read(base.join("warm/amat.json")).expect("warm amat.json"),
         "warm start must reproduce the figure byte-for-byte"
     );
+    let _ = fs::remove_dir_all(&base);
+}
+
+#[test]
+fn entries_carry_the_model_fingerprint_wherever_tdc_runs() {
+    let base = temp_base("fingerprint");
+    let checkout = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (cwd, name) in [(base.as_path(), "outside"), (checkout, "inside")] {
+        let (store, out) = (base.join(format!("{name}-store")), base.join(format!("{name}-out")));
+        tdc(&format!("table1 --cache-dir {} --out {}", store.display(), out.display()), cwd);
+        let entries = read_tree(&store);
+        assert!(!entries.is_empty(), "the run {name} the checkout persisted no cells");
+        for (file, bytes) in &entries {
+            let entry = Json::parse(&String::from_utf8_lossy(bytes)).expect("entry parses");
+            let stamp = entry.get("model_fingerprint").and_then(Json::as_str);
+            assert_eq!(stamp, Some(MODEL_FINGERPRINT), "{file}, written {name} the checkout");
+        }
+    }
     let _ = fs::remove_dir_all(&base);
 }

@@ -69,14 +69,22 @@ done
 grep -q '"steal_attempts"' "$out/steal/metrics.json" \
     || { echo "--jobs 16 run recorded no scheduler telemetry" >&2; exit 1; }
 
-echo "== smoke: tdc trace (probed run, Perfetto export) =="
-./target/release/tdc trace mcf/ctlb --scale 0.02 --out "$out"
-test -s "$out/runs/mcf_ctlb.timeseries.json" || { echo "trace wrote no timeseries" >&2; exit 1; }
-test -s "$out/trace/mcf_ctlb.trace.json" || { echo "trace wrote no trace.json" >&2; exit 1; }
+# One cell per builder arm: SPEC on the probed tagless cache, a mix
+# with private address spaces on an unprobed organization, and PARSEC
+# threads sharing one address space.
+for cell in mcf/ctlb MIX1/sram swaptions/ctlb; do
+    stem="$(tr '[:upper:]/' '[:lower:]_' <<<"$cell")"
 
-echo "== smoke: tdc prof (phase attribution, >= 95% of wall accounted) =="
-./target/release/tdc prof mcf/ctlb --scale 0.02 --out "$out" --min-attributed 95
-test -s "$out/prof.json" || { echo "prof wrote no prof.json" >&2; exit 1; }
+    echo "== smoke: tdc trace $cell (probed run, Perfetto export) =="
+    ./target/release/tdc trace "$cell" --scale 0.02 --out "$out"
+    test -s "$out/runs/$stem.timeseries.json" || { echo "trace wrote no timeseries" >&2; exit 1; }
+    test -s "$out/trace/$stem.trace.json" || { echo "trace wrote no trace.json" >&2; exit 1; }
+
+    echo "== smoke: tdc prof $cell (phase attribution, >= 95% of wall accounted) =="
+    rm -f "$out/prof.json"
+    ./target/release/tdc prof "$cell" --scale 0.02 --out "$out" --min-attributed 95
+    test -s "$out/prof.json" || { echo "prof wrote no prof.json" >&2; exit 1; }
+done
 
 echo "== smoke: 2-way shard stores + their union at 25% scale =="
 # Each shard persists its slice to its own store; the union of the two
