@@ -8,11 +8,14 @@
 //! pointer + 4b TLB residence vector — giving 2.56MB for a 1GB cache
 //! (0.25% overhead), which is the paper's scalability argument.
 //!
-//! Layout is struct-of-arrays (DESIGN.md §15): a dense entry array
-//! indexed directly by CPN plus a separate validity bitset, mirroring
-//! the hardware's "the GIPT *is* an array indexed by cache address"
-//! argument. The residence probe on the eviction path reads one bit
-//! instead of an `Option` discriminant interleaved with payload.
+//! Layout is struct-of-arrays (DESIGN.md §15): dense `ppn`/`asid`/`vpn`
+//! lanes indexed directly by CPN plus a separate validity bitset,
+//! mirroring the hardware's "the GIPT *is* an array indexed by cache
+//! address" argument. The residence probe on the eviction path reads
+//! one bit instead of an `Option` discriminant interleaved with
+//! payload. Every lane starts zeroed (all slots invalid), so building a
+//! GIPT writes nothing and host memory grows with the slots a run
+//! fills.
 
 use tdc_util::{Cpn, Ppn, Vpn, PAGE_SIZE};
 
@@ -31,17 +34,13 @@ pub struct GiptEntry {
     pub vpn: Vpn,
 }
 
-const EMPTY_ENTRY: GiptEntry = GiptEntry {
-    ppn: Ppn(0),
-    asid: 0,
-    vpn: Vpn(0),
-};
-
 /// The global inverted page table, indexed by cache page number.
 #[derive(Debug, Clone)]
 pub struct Gipt {
-    /// Dense entry payloads, meaningful only where the valid bit is set.
-    entries: Vec<GiptEntry>,
+    // Dense entry lanes, meaningful only where the valid bit is set.
+    ppn: Vec<u64>,
+    asid: Vec<u32>,
+    vpn: Vec<u64>,
     /// Validity bitset, one bit per cache slot.
     valid: Vec<u64>,
     occupied: u64,
@@ -50,16 +49,19 @@ pub struct Gipt {
 impl Gipt {
     /// Creates an empty GIPT covering `slots` cache pages.
     pub fn new(slots: u64) -> Self {
+        let n = slots as usize;
         Self {
-            entries: vec![EMPTY_ENTRY; slots as usize],
-            valid: vec![0; (slots as usize).div_ceil(64)],
+            ppn: vec![0; n],
+            asid: vec![0; n],
+            vpn: vec![0; n],
+            valid: vec![0; n.div_ceil(64)],
             occupied: 0,
         }
     }
 
     /// Number of cache slots covered.
     pub fn slots(&self) -> u64 {
-        self.entries.len() as u64
+        self.ppn.len() as u64
     }
 
     /// Number of live entries.
@@ -101,8 +103,10 @@ impl Gipt {
     /// entry (which indicates a missed eviction by the caller).
     pub fn insert(&mut self, cpn: Cpn, entry: GiptEntry) -> Option<GiptEntry> {
         let i = cpn.0 as usize;
-        let old = self.is_valid(i).then(|| self.entries[i]);
-        self.entries[i] = entry;
+        let old = self.get(cpn);
+        self.ppn[i] = entry.ppn.0;
+        self.asid[i] = entry.asid;
+        self.vpn[i] = entry.vpn.0;
         if old.is_none() {
             self.set_valid(i, true);
             self.occupied += 1;
@@ -112,31 +116,21 @@ impl Gipt {
 
     /// Looks up the reverse mapping.
     #[inline]
-    pub fn get(&self, cpn: Cpn) -> Option<&GiptEntry> {
+    pub fn get(&self, cpn: Cpn) -> Option<GiptEntry> {
         let i = cpn.0 as usize;
-        self.is_valid(i).then(|| &self.entries[i])
+        self.is_valid(i).then(|| GiptEntry {
+            ppn: Ppn(self.ppn[i]),
+            asid: self.asid[i],
+            vpn: Vpn(self.vpn[i]),
+        })
     }
 
     /// Removes and returns the reverse mapping (eviction path).
     pub fn remove(&mut self, cpn: Cpn) -> Option<GiptEntry> {
-        let i = cpn.0 as usize;
-        if !self.is_valid(i) {
-            return None;
-        }
-        self.set_valid(i, false);
+        let old = self.get(cpn)?;
+        self.set_valid(cpn.0 as usize, false);
         self.occupied -= 1;
-        Some(self.entries[i])
-    }
-}
-
-impl std::ops::Index<Cpn> for Gipt {
-    type Output = GiptEntry;
-
-    /// Panics if `cpn` has no live entry (use [`Gipt::get`] to probe).
-    fn index(&self, cpn: Cpn) -> &GiptEntry {
-        self.get(cpn)
-            // tdc-lint: allow(panic-in-lib) documented panicking accessor
-            .unwrap_or_else(|| panic!("GIPT: no live entry for {cpn:?}"))
+        Some(old)
     }
 }
 
@@ -162,7 +156,7 @@ mod tests {
             vpn: Vpn(42),
         };
         assert!(g.insert(Cpn(3), e).is_none());
-        assert_eq!(g.get(Cpn(3)), Some(&e));
+        assert_eq!(g.get(Cpn(3)), Some(e));
         assert_eq!(g.len(), 1);
         assert_eq!(g.remove(Cpn(3)), Some(e));
         assert!(g.is_empty());
@@ -188,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn index_accessor() {
+    fn get_spans_bitset_words() {
         let mut g = Gipt::new(70); // spans two bitset words
         let e = GiptEntry {
             ppn: Ppn(7),
@@ -196,14 +190,8 @@ mod tests {
             vpn: Vpn(9),
         };
         g.insert(Cpn(65), e);
-        assert_eq!(g[Cpn(65)], e);
-    }
-
-    #[test]
-    #[should_panic(expected = "no live entry")]
-    fn index_accessor_panics_on_empty_slot() {
-        let g = Gipt::new(4);
-        let _ = g[Cpn(1)];
+        assert_eq!(g.get(Cpn(65)), Some(e));
+        assert_eq!(g.get(Cpn(1)), None, "an empty slot reads as absent");
     }
 
     #[test]
@@ -287,10 +275,7 @@ mod differential {
                         reference.insert(Cpn(c), entry(e)),
                     ),
                     Op::Remove(c) => (flat.remove(Cpn(c)), reference.remove(Cpn(c))),
-                    Op::Get(c) => (
-                        flat.get(Cpn(c)).copied(),
-                        reference.entries[c as usize],
-                    ),
+                    Op::Get(c) => (flat.get(Cpn(c)), reference.entries[c as usize]),
                 };
                 if a != b {
                     return Err(format!("step {i} {op:?}: flat={a:?} ref={b:?}"));

@@ -9,18 +9,21 @@
 //! occupied state (in-package victim hit). FIFO is the default policy;
 //! LRU is provided for the Fig. 11 sensitivity study.
 //!
-//! Storage is struct-of-arrays (DESIGN.md §15): per-slot state, dirty
-//! and stamp arrays, plus an intrusive doubly-linked **order list**
+//! Storage is struct-of-arrays (DESIGN.md §15): per-slot state and
+//! dirty lanes, plus an intrusive doubly-linked **order list**
 //! (`next`/`prev` index arrays) threading every occupied slot. Under
 //! FIFO the list is insertion order with second-chance move-to-back;
-//! under LRU every touch moves the slot to the tail, so the list stays
-//! sorted by recency stamp and the victim scan reads from the head —
-//! replacing the lazy `BinaryHeap` (and its stale-entry garbage) with
-//! an O(1)-per-touch structure. The free list and free queue are
-//! fixed-capacity rings ([`FixedRing`]); nothing on this path allocates
-//! after construction. The displaced `VecDeque`/heap implementation
-//! survives as the `#[cfg(test)]` reference model for the differential
-//! suite.
+//! under LRU every touch moves the slot to the tail, so the list is in
+//! recency order and the victim scan reads from the head — replacing
+//! the lazy `BinaryHeap` (and its stale-entry garbage) with an
+//! O(1)-per-touch structure, and making per-slot stamps unnecessary.
+//! Never-used slots are handed out by the `fresh` header pointer, and
+//! freed slots queue behind them in a fixed-capacity ring
+//! ([`FixedRing`]), as does the free queue; nothing on this path
+//! allocates after construction, and construction writes only the
+//! one-byte state lane (the other lanes start zeroed). The displaced
+//! `VecDeque`/heap implementation survives as the `#[cfg(test)]`
+//! reference model for the differential suite.
 
 use tdc_util::flat::FixedRing;
 use tdc_util::Cpn;
@@ -54,21 +57,22 @@ pub struct SlotRing {
     // Struct-of-arrays slot state.
     state: Vec<SlotState>,
     dirty: Vec<bool>,
-    /// Recency stamp (LRU) / insertion stamp (FIFO bookkeeping).
-    stamp: Vec<u64>,
     /// Intrusive order list over *occupied* slots: FIFO order under
     /// [`VictimPolicy::Fifo`], recency order (head = LRU) under
-    /// [`VictimPolicy::Lru`].
+    /// [`VictimPolicy::Lru`]. A slot's links are written when it joins
+    /// the list, before anything reads them.
     next: Vec<u32>,
     prev: Vec<u32>,
     head: u32,
     tail: u32,
     order_len: u64,
-    /// Allocatable slots, in header-pointer (ring) order.
+    /// Header pointer: slots `fresh..len` have never been allocated.
+    fresh: u32,
+    /// Freed slots, in the order they were freed; allocated only once
+    /// the fresh slots run out.
     free_list: FixedRing<u32>,
     /// Slots awaiting asynchronous eviction.
     free_queue: FixedRing<u32>,
-    tick: u64,
     rescues: u64,
 }
 
@@ -82,23 +86,18 @@ impl SlotRing {
         assert!(n > 0, "cache must have at least one slot");
         assert!(n < NIL as u64, "slot count exceeds u32 index space");
         let n = n as usize;
-        let mut free_list = FixedRing::new(n);
-        for i in 0..n as u32 {
-            free_list.push_back(i);
-        }
         Self {
             policy,
             state: vec![SlotState::Free; n],
             dirty: vec![false; n],
-            stamp: vec![0; n],
-            next: vec![NIL; n],
-            prev: vec![NIL; n],
+            next: vec![0; n],
+            prev: vec![0; n],
             head: NIL,
             tail: NIL,
             order_len: 0,
-            free_list,
+            fresh: 0,
+            free_list: FixedRing::new(n),
             free_queue: FixedRing::new(n),
-            tick: 0,
             rescues: 0,
         }
     }
@@ -115,7 +114,7 @@ impl SlotRing {
 
     /// Currently free slots (allocatable right now).
     pub fn free_count(&self) -> u64 {
-        self.free_list.len() as u64
+        self.len() - u64::from(self.fresh) + self.free_list.len() as u64
     }
 
     /// Occupied slots (including pending evictions).
@@ -136,11 +135,6 @@ impl SlotRing {
     /// The configured policy.
     pub fn policy(&self) -> VictimPolicy {
         self.policy
-    }
-
-    fn bump(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
     }
 
     /// Appends slot `i` at the order-list tail (MRU / newest position).
@@ -180,24 +174,29 @@ impl SlotRing {
     #[inline]
     fn debug_validate(&self) {
         debug_assert_eq!(
-            self.free_list.len() as u64 + self.order_len + self.free_queue.len() as u64,
+            self.free_count() + self.order_len + self.free_queue.len() as u64,
             self.len(),
             "slot accounting broken: free={} ordered={} pending={}",
-            self.free_list.len(),
+            self.free_count(),
             self.order_len,
             self.free_queue.len()
         );
     }
 
-    /// Allocates the slot at the header pointer. Returns `None` when no
-    /// free slot exists (the caller failed to maintain α).
+    /// Allocates the slot at the header pointer, then the longest-freed
+    /// slot once every slot has been used. Returns `None` when no free
+    /// slot exists (the caller failed to maintain α).
     pub fn allocate(&mut self) -> Option<Cpn> {
-        let i = self.free_list.pop_front()?;
-        let stamp = self.bump();
+        let i = if u64::from(self.fresh) < self.len() {
+            let i = self.fresh;
+            self.fresh += 1;
+            i
+        } else {
+            self.free_list.pop_front()?
+        };
         debug_assert_eq!(self.state[i as usize], SlotState::Free);
         self.state[i as usize] = SlotState::Occupied;
         self.dirty[i as usize] = false;
-        self.stamp[i as usize] = stamp;
         self.link_tail(i);
         self.debug_validate();
         Some(Cpn(i as u64))
@@ -209,12 +208,10 @@ impl SlotRing {
         if self.policy != VictimPolicy::Lru {
             return;
         }
-        let stamp = self.bump();
         debug_assert!(cpn.0 < self.state.len() as u64, "CPN {cpn:?} out of range");
         let i = cpn.0 as u32; // tdc-lint: allow(cast-truncation) bound debug_assert-pinned above
         if self.state[i as usize] == SlotState::Occupied {
-            self.stamp[i as usize] = stamp;
-            // Move to tail: the list stays sorted by stamp, so the LRU
+            // Move to tail: the list stays in recency order, so the LRU
             // victim scan is a head read instead of a heap drain.
             self.unlink(i);
             self.link_tail(i);
@@ -261,10 +258,11 @@ impl SlotRing {
                 selected
             }
             VictimPolicy::Lru => {
-                // The list is stamp-sorted; the first non-resident slot
-                // from the head is the least-recent eviction candidate.
-                // Residents are skipped in place (no reordering), which
-                // preserves their stamps exactly as the lazy heap did.
+                // The list is in recency order; the first non-resident
+                // slot from the head is the least-recent eviction
+                // candidate. Residents are skipped in place (no
+                // reordering), keeping their recency exactly as the lazy
+                // heap kept their stamps.
                 let mut cur = self.head;
                 loop {
                     if cur == NIL {
@@ -299,7 +297,6 @@ impl SlotRing {
             let dirty = self.dirty[i as usize];
             self.state[i as usize] = SlotState::Free;
             self.dirty[i as usize] = false;
-            self.stamp[i as usize] = 0;
             self.free_list.push_back(i);
             self.debug_validate();
             return Some((Cpn(i as u64), dirty));
@@ -310,7 +307,6 @@ impl SlotRing {
     /// Rescues a pending eviction (in-package victim hit re-established
     /// the mapping). Returns whether anything was rescued.
     pub fn rescue(&mut self, cpn: Cpn) -> bool {
-        let stamp = self.bump();
         debug_assert!(cpn.0 < self.state.len() as u64, "CPN {cpn:?} out of range");
         let i = cpn.0 as u32; // tdc-lint: allow(cast-truncation) bound debug_assert-pinned above
         if self.state[i as usize] != SlotState::PendingEvict {
@@ -321,7 +317,6 @@ impl SlotRing {
         // the linear purge is cheap).
         self.free_queue.purge(i);
         self.state[i as usize] = SlotState::Occupied;
-        self.stamp[i as usize] = stamp;
         self.link_tail(i);
         self.rescues += 1;
         self.debug_validate();

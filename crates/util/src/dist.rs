@@ -96,6 +96,8 @@ impl Bernoulli {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometric {
     p: f64,
+    /// `ln(1 - p)`, the inversion's divisor, computed once.
+    ln_q: f64,
 }
 
 impl Geometric {
@@ -108,7 +110,10 @@ impl Geometric {
         if !(p > 0.0 && p <= 1.0) {
             return Err(ParamError::new("geometric p outside (0, 1]"));
         }
-        Ok(Self { p })
+        Ok(Self {
+            p,
+            ln_q: (1.0 - p).ln(),
+        })
     }
 
     /// Draws a sample via inversion.
@@ -117,7 +122,7 @@ impl Geometric {
             return 0;
         }
         let u = rng.next_f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - self.p).ln()).floor() as u64
+        (u.ln() / self.ln_q).floor() as u64
     }
 
     /// Expected value `(1 - p) / p`.

@@ -21,6 +21,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 echo "== tests (unit + property + integration) =="
 cargo test -q --workspace
 
+echo "== tests: differential suites in release (overflow wraps, debug_assert! is off) =="
+# The packed tag lanes, stamp renumbering and set-index masks must match
+# their reference models in the build the simulator actually runs.
+cargo test --release -q -p tdc-sram-cache -p tdc-dram-cache -p tdc-util
+
 echo "== smoke: ablation example at 2% scale =="
 ablation_out="$(TDC_SCALE=0.02 cargo run --release --offline -q --example ablation)"
 grep -q '^== Ablation 4' <<<"$ablation_out" \
