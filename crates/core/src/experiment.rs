@@ -131,6 +131,10 @@ impl RunConfig {
 
     /// `full()` with its run lengths multiplied by `factor` (clamped to
     /// sane minimums). `factor <= 0` is ignored.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "scaled run lengths are non-negative and round down on purpose"
+    )]
     pub fn scaled(seed: u64, factor: f64) -> Self {
         let mut cfg = Self::full(seed);
         if factor > 0.0 {

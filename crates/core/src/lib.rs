@@ -32,6 +32,12 @@
 //! println!("normalized IPC: {:.3}", tagless.ipc_total() / base.ipc_total());
 //! ```
 
+// The type-checked line rules of DESIGN.md §9, for non-test library code.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::panic, clippy::cast_possible_truncation)
+)]
+
 pub mod amat;
 pub mod core_model;
 pub mod energy;

@@ -150,6 +150,10 @@ impl<P: Probe> System<P> {
     }
 
     /// Processes one reference on core `i`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "core ids fit u8: a machine has far fewer than 256 cores"
+    )]
     fn step(&mut self, i: usize) {
         let r = self.cores[i].trace.next_ref();
         let ctx = &mut self.cores[i];

@@ -49,6 +49,10 @@ pub struct Gipt {
 impl Gipt {
     /// Creates an empty GIPT covering `slots` cache pages.
     pub fn new(slots: u64) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the slot count sizes in-memory lanes"
+        )]
         let n = slots as usize;
         Self {
             ppn: vec![0; n],
@@ -102,6 +106,10 @@ impl Gipt {
     /// Inserts the reverse mapping for `cpn`, returning any displaced
     /// entry (which indicates a missed eviction by the caller).
     pub fn insert(&mut self, cpn: Cpn, entry: GiptEntry) -> Option<GiptEntry> {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "cache page numbers index in-memory lanes"
+        )]
         let i = cpn.0 as usize;
         let old = self.get(cpn);
         self.ppn[i] = entry.ppn.0;
@@ -117,6 +125,10 @@ impl Gipt {
     /// Looks up the reverse mapping.
     #[inline]
     pub fn get(&self, cpn: Cpn) -> Option<GiptEntry> {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "cache page numbers index in-memory lanes"
+        )]
         let i = cpn.0 as usize;
         self.is_valid(i).then(|| GiptEntry {
             ppn: Ppn(self.ppn[i]),
@@ -128,6 +140,10 @@ impl Gipt {
     /// Removes and returns the reverse mapping (eviction path).
     pub fn remove(&mut self, cpn: Cpn) -> Option<GiptEntry> {
         let old = self.get(cpn)?;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "cache page numbers index in-memory lanes"
+        )]
         self.set_valid(cpn.0 as usize, false);
         self.occupied -= 1;
         Some(old)

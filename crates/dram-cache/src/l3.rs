@@ -11,7 +11,7 @@ use tdc_util::{Cpn, Cycle, Ppn, Vpn, PAGE_SIZE};
 /// Cache frames are disambiguated from physical frames in the flat line
 /// address space used by L1/L2 tags by setting a high bit, mirroring how
 /// the real design re-tags on-die caches with cache addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Frame {
     /// An off-package physical frame.
     Phys(Ppn),

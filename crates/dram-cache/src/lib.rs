@@ -35,6 +35,12 @@
 //! assert!(tr2.tlb_hit);
 //! ```
 
+// The type-checked line rules of DESIGN.md §9, for non-test library code.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::panic, clippy::cast_possible_truncation)
+)]
+
 pub mod bank_interleave;
 pub mod gipt;
 pub mod ideal;

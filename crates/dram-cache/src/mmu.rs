@@ -228,7 +228,6 @@ impl ConventionalFront {
                 };
                 // Fixed-capacity set-associative TLB fill: it displaces
                 // a slot in place, no heap allocation behind it.
-                // tdc-lint: allow(hot-path-alloc)
                 mmu.insert(vpn, TlbEntry::physical(ppn, pte.nc));
                 ConvTranslation {
                     ppn,

@@ -85,6 +85,7 @@ impl SlotRing {
     pub fn new(n: u64, policy: VictimPolicy) -> Self {
         assert!(n > 0, "cache must have at least one slot");
         assert!(n < NIL as u64, "slot count exceeds u32 index space");
+        #[expect(clippy::cast_possible_truncation, reason = "n < NIL is asserted above")]
         let n = n as usize;
         Self {
             policy,
@@ -209,7 +210,11 @@ impl SlotRing {
             return;
         }
         debug_assert!(cpn.0 < self.state.len() as u64, "CPN {cpn:?} out of range");
-        let i = cpn.0 as u32; // tdc-lint: allow(cast-truncation) bound debug_assert-pinned above
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "bound debug_assert-pinned above"
+        )]
+        let i = cpn.0 as u32;
         if self.state[i as usize] == SlotState::Occupied {
             // Move to tail: the list stays in recency order, so the LRU
             // victim scan is a head read instead of a heap drain.
@@ -220,12 +225,20 @@ impl SlotRing {
 
     /// Marks a slot dirty (a writeback reached it).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "cache page numbers index in-memory lanes"
+    )]
     pub fn mark_dirty(&mut self, cpn: Cpn) {
         self.dirty[cpn.0 as usize] = true;
     }
 
     /// Whether a slot currently holds a page (occupied or pending).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "cache page numbers index in-memory lanes"
+    )]
     pub fn is_live(&self, cpn: Cpn) -> bool {
         self.state[cpn.0 as usize] != SlotState::Free
     }
@@ -308,7 +321,11 @@ impl SlotRing {
     /// the mapping). Returns whether anything was rescued.
     pub fn rescue(&mut self, cpn: Cpn) -> bool {
         debug_assert!(cpn.0 < self.state.len() as u64, "CPN {cpn:?} out of range");
-        let i = cpn.0 as u32; // tdc-lint: allow(cast-truncation) bound debug_assert-pinned above
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "bound debug_assert-pinned above"
+        )]
+        let i = cpn.0 as u32;
         if self.state[i as usize] != SlotState::PendingEvict {
             return false;
         }

@@ -524,8 +524,11 @@ impl<P: Probe> TaglessCache<P> {
     ///
     /// This is the paper's designed slow path — a page walk plus a page
     /// fill dominate it, so the bookkeeping maps it updates are noise
-    /// next to the DRAM traffic and exempt from the hot-path budget.
-    // tdc-lint: cold
+    /// next to the DRAM traffic.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "core ids fit u8: a machine has far fewer than 256 cores"
+    )]
     fn miss_handler(&mut self, now: Cycle, core: usize, vpn: Vpn) -> (Frame, bool, Cycle) {
         let asid = self.core_asid[core];
         let l2_lat = self.mmus[core].params().l2_latency;
@@ -669,6 +672,10 @@ impl<P: Probe> L3System for TaglessCache<P> {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "core ids fit u8: a machine has far fewer than 256 cores"
+    )]
     fn translate(
         &mut self,
         now: Cycle,

@@ -3,7 +3,7 @@
 //! must never corrupt occupancy accounting or lose slots. Driven by the
 //! workspace's deterministic PCG32 (no proptest; offline build).
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use tdc_dram_cache::{SlotRing, VictimPolicy};
 use tdc_util::{Cpn, Pcg32, Rng};
 
@@ -42,7 +42,7 @@ fn slot_ring_state_machine_is_consistent() {
         let slots = 2 + rng.gen_range(30);
         let n_ops = 1 + rng.gen_range(199) as usize;
         let mut ring = SlotRing::new(slots, policy);
-        let mut live: HashSet<Cpn> = HashSet::new();
+        let mut live: BTreeSet<Cpn> = BTreeSet::new();
         for _ in 0..n_ops {
             match draw_op(&mut rng) {
                 Op::Allocate => {

@@ -96,6 +96,10 @@ impl DramConfig {
     /// The bus is DDR: it moves `bus_bits` per edge, i.e. two transfers
     /// per bus clock. Result is at least 1 cycle for a non-empty
     /// transfer.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a burst lasts a handful of cycles"
+    )]
     pub fn transfer_cycles(&self, bytes: u64) -> Cycle {
         if bytes == 0 {
             return 0;
@@ -117,6 +121,10 @@ impl DramConfig {
     /// Reference implementation; the controller uses the precomputed
     /// [`AddrMapper`] (same function, shift/mask arithmetic when the
     /// geometry is power-of-two).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "remainders by the bank count fit u32"
+    )]
     pub fn map_addr(&self, addr: u64) -> (u32, u32, u64) {
         let banks = self.total_banks() as u64;
         match self.addr_map {
@@ -205,6 +213,10 @@ impl AddrMapper {
     /// Maps a device-local address to `(channel, global bank index,
     /// row)`; identical to [`DramConfig::map_addr`].
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "remainders by the bank and channel counts fit u32"
+    )]
     pub fn map(&self, addr: u64) -> (u32, u32, u64) {
         match self.addr_map {
             AddrMap::RowInterleave => {

@@ -7,7 +7,7 @@
 //! controller that turns individual accesses into completion times under
 //! bank and channel contention. The substitution rationale is
 //! DESIGN.md §2; every timing constant DESIGN.md references must exist
-//! here (enforced by the `design-constants` lint rule, DESIGN.md §9).
+//! here (enforced by the root `tests/design_sync.rs`, DESIGN.md §9).
 //!
 //! The default parameters are exactly the paper's Table 3 (organization)
 //! and Table 4 (timing/energy):
@@ -29,6 +29,12 @@
 //! assert!(c.first_data > 0);
 //! assert!(c.energy_pj > 0.0);
 //! ```
+
+// The type-checked line rules of DESIGN.md §9, for non-test library code.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::panic, clippy::cast_possible_truncation)
+)]
 
 pub mod config;
 pub mod controller;

@@ -17,6 +17,10 @@ pub const CPU_GHZ: f64 = 3.0;
 /// assert_eq!(ns_to_cycles(10.0), 30); // 10 ns at 3 GHz
 /// assert_eq!(ns_to_cycles(0.4), 2);   // rounds up
 /// ```
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "DRAM timings are a few hundred ns at most"
+)]
 pub fn ns_to_cycles(ns: f64) -> Cycle {
     (ns * CPU_GHZ).ceil() as Cycle
 }

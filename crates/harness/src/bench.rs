@@ -21,9 +21,9 @@
 //! * `tdc bench history` renders the trajectory from the JSONL.
 //!
 //! The record schema is pinned three ways: [`RECORD_FIELDS`] /
-//! [`RECORD_VERSION`] here, prose in DESIGN.md §11, and the
-//! `schema-sync` lint rule that fails `tdc lint` whenever the two
-//! drift in either direction.
+//! [`RECORD_VERSION`] here, prose in DESIGN.md §11, and the root
+//! `tests/design_sync.rs`, which fails whenever the two drift in
+//! either direction.
 //!
 //! Records are deterministic apart from the timings themselves: no
 //! wall-clock timestamps, no environment beyond the host fingerprint.
@@ -41,11 +41,12 @@ use crate::kernels::{measure, micro_kernels, Timing};
 use crate::SEED;
 
 /// Version stamped into every record (bump on schema change, and keep
-/// DESIGN.md §11 in sync — the `schema-sync` lint rule checks).
+/// DESIGN.md §11 in sync — `tests/design_sync.rs` checks).
 pub const RECORD_VERSION: u64 = 1;
 
-/// Top-level record fields, in serialization order. The `schema-sync`
-/// lint rule keeps this list equal to the DESIGN.md §11 prose.
+/// Top-level record fields, in serialization order.
+/// `tests/design_sync.rs` keeps this list equal to the DESIGN.md §11
+/// prose.
 pub const RECORD_FIELDS: [&str; 7] = [
     "format_version",
     "git_sha",

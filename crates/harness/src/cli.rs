@@ -10,9 +10,7 @@
 use std::collections::BTreeSet;
 use std::io;
 use std::path::PathBuf;
-// Wall-clock here only feeds the stderr summary and metrics.json, the
-// one deliberately nondeterministic artifact.
-use std::time::Instant; // tdc-lint: allow(time-source)
+use std::time::Instant;
 use tdc_core::experiment::Job;
 use tdc_core::RunConfig;
 
@@ -69,9 +67,6 @@ COMMANDS:
                 kernels, gate against a checked-in baseline with
                 noise-aware thresholds, or render the trajectory
                 ('tdc bench -h')
-    lint        Run the determinism/invariant static analysis over the
-                workspace sources; exit non-zero on any finding not in
-                the ratchet ('tdc lint -h')
 
 OPTIONS:
     --jobs N    Worker threads (default: available CPU parallelism)
@@ -179,7 +174,6 @@ pub fn run(args: &[String]) -> i32 {
         Some("prof") => return crate::prof::run(&args[1..]),
         Some("diff") => return crate::diff::run(&args[1..]),
         Some("bench") => return crate::bench::run(&args[1..]),
-        Some("lint") => return tdc_lint::cli::run(&args[1..]),
         _ => {}
     }
     let opts = match parse(args) {
@@ -198,7 +192,11 @@ pub fn run(args: &[String]) -> i32 {
     }
 
     let cfg = config(&opts);
-    let start = Instant::now(); // tdc-lint: allow(time-source)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock only feeds the stderr summary and metrics.json"
+    )]
+    let start = Instant::now();
     let harness = Harness::new(cfg, opts.jobs).verbose(!opts.quiet);
     // A shard runs its slice of the deduplicated plan; otherwise the
     // requested figures decide which cells run.

@@ -8,7 +8,7 @@
 //! simulated once per harness, not once per figure), then formats its
 //! stdout table plus a JSON summary for `results/`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use tdc_core::experiment::{Job, OrgKind, Workload};
 use tdc_core::{AmatInputs, AmatModel, RunConfig, RunReport};
@@ -149,19 +149,22 @@ pub fn jobs_for(id: &str, cfg: &RunConfig) -> Option<Vec<Job>> {
 
 /// Generates one figure by id. `None` for unknown ids.
 pub fn generate(id: &str, h: &Harness) -> Option<FigureData> {
-    match id {
-        "fig07" => Some(fig07(h)),
-        "fig08" => Some(fig08(h)),
-        "fig09" => Some(fig09(h)),
-        "fig10" => Some(fig10(h)),
-        "fig11" => Some(fig11(h)),
-        "fig12" => Some(fig12(h)),
-        "fig13" => Some(fig13(h)),
-        "table1" => Some(table1(h)),
-        "table6" => Some(table6(h)),
-        "amat" => Some(amat(h)),
-        _ => None,
-    }
+    let render = match id {
+        "fig07" => fig07,
+        "fig08" => fig08,
+        "fig09" => fig09,
+        "fig10" => fig10,
+        "fig11" => fig11,
+        "fig12" => fig12,
+        "fig13" => fig13,
+        "table1" => table1,
+        "table6" => table6,
+        "amat" => amat,
+        _ => return None,
+    };
+    // The renderers only write into a `String`, which never fails, so
+    // their `fmt::Result` is always `Ok`.
+    render(h).ok()
 }
 
 fn fmt_pct(x: f64) -> String {
@@ -178,21 +181,20 @@ fn figure_json(id: &str, title: &str, h: &Harness) -> Json {
 
 /// Figure 7: IPC and EDP of the 11 memory-bound SPEC programs under
 /// BI / SRAM / cTLB / Ideal, normalized to the no-L3 baseline.
-pub fn fig07(h: &Harness) -> FigureData {
+fn fig07(h: &Harness) -> Result<FigureData, fmt::Error> {
     let title = "Figure 7: single-programmed IPC and EDP (normalized to No L3)";
     let orgs = FIG07_ORGS;
     let jobs = jobs_for("fig07", &h.cfg).expect("known id");
     let results = h.run_all(&jobs);
 
     let mut text = String::new();
-    writeln!(text, "== {title} ==").unwrap();
-    writeln!(text, "{:<12} {:>35} | {:>35}", "", "normalized IPC", "normalized EDP").unwrap();
+    writeln!(text, "== {title} ==")?;
+    writeln!(text, "{:<12} {:>35} | {:>35}", "", "normalized IPC", "normalized EDP")?;
     writeln!(
         text,
         "{:<12} {:>8} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>8}",
         "benchmark", "BI", "SRAM", "cTLB", "Ideal", "BI", "SRAM", "cTLB", "Ideal"
-    )
-    .unwrap();
+    )?;
     let mut ipc_cols: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
     let mut edp_cols: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
     let mut rows = Vec::new();
@@ -215,8 +217,7 @@ pub fn fig07(h: &Harness) -> FigureData {
             bench,
             ipc_row[0], ipc_row[1], ipc_row[2], ipc_row[3],
             edp_row[0], edp_row[1], edp_row[2], edp_row[3]
-        )
-        .unwrap();
+        )?;
         rows.push(Json::obj([
             ("name", Json::from(*bench)),
             (
@@ -235,14 +236,12 @@ pub fn fig07(h: &Harness) -> FigureData {
         text,
         "{:<12} {:>8.3} {:>8.3} {:>8.3} {:>8.3} | {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
         "geomean", g[0], g[1], g[2], g[3], ge[0], ge[1], ge[2], ge[3]
-    )
-    .unwrap();
+    )?;
     writeln!(
         text,
         "IPC gains: BI {} SRAM {} cTLB {} Ideal {}   (paper: +4.0% / +16.4% / +24.9% / cTLB within 11.8% of Ideal)",
         fmt_pct(g[0]), fmt_pct(g[1]), fmt_pct(g[2]), fmt_pct(g[3])
-    )
-    .unwrap();
+    )?;
 
     let mut json = figure_json("fig07", title, h);
     json.push("benchmarks", Json::Arr(rows));
@@ -259,24 +258,24 @@ pub fn fig07(h: &Harness) -> FigureData {
             ),
         ]),
     );
-    FigureData {
+    Ok(FigureData {
         id: "fig07",
         title: title.to_string(),
         text,
         json,
-    }
+    })
 }
 
 /// Figure 8: average L3 access latency of the SRAM-tag and tagless
 /// caches (TLB access time included), per SPEC program.
-pub fn fig08(h: &Harness) -> FigureData {
+fn fig08(h: &Harness) -> Result<FigureData, fmt::Error> {
     let title = "Figure 8: average L3 access latency (cycles; lower is better)";
     let jobs = jobs_for("fig08", &h.cfg).expect("known id");
     let results = h.run_all(&jobs);
 
     let mut text = String::new();
-    writeln!(text, "== {title} ==").unwrap();
-    writeln!(text, "{:<12} {:>8} {:>8} {:>10}", "benchmark", "SRAM", "cTLB", "reduction").unwrap();
+    writeln!(text, "== {title} ==")?;
+    writeln!(text, "{:<12} {:>8} {:>8} {:>10}", "benchmark", "SRAM", "cTLB", "reduction")?;
     let mut ratios = Vec::new();
     let mut rows = Vec::new();
     for (bi, bench) in SPEC_NAMES.iter().enumerate() {
@@ -287,8 +286,7 @@ pub fn fig08(h: &Harness) -> FigureData {
             text,
             "{:<12} {:>8.1} {:>8.1} {:>9.1}%",
             bench, ls, lt, (1.0 - lt / ls) * 100.0
-        )
-        .unwrap();
+        )?;
         rows.push(Json::obj([
             ("name", Json::from(*bench)),
             ("sram_latency", Json::from(ls)),
@@ -301,36 +299,34 @@ pub fn fig08(h: &Harness) -> FigureData {
         text,
         "geomean latency reduction: {:.1}%   (paper: 9.9% geomean, up to 16.7% for libquantum)",
         geo_reduction * 100.0
-    )
-    .unwrap();
+    )?;
 
     let mut json = figure_json("fig08", title, h);
     json.push("benchmarks", Json::Arr(rows));
     json.push("geomean_reduction", geo_reduction);
-    FigureData {
+    Ok(FigureData {
         id: "fig08",
         title: title.to_string(),
         text,
         json,
-    }
+    })
 }
 
 /// Figure 9: IPC and EDP of the eight Table 5 multi-programmed mixes,
 /// normalized to the no-L3 baseline.
-pub fn fig09(h: &Harness) -> FigureData {
+fn fig09(h: &Harness) -> Result<FigureData, fmt::Error> {
     let title = "Figure 9: multi-programmed IPC and EDP (normalized to No L3)";
     let orgs = FIG09_ORGS;
     let jobs = jobs_for("fig09", &h.cfg).expect("known id");
     let results = h.run_all(&jobs);
 
     let mut text = String::new();
-    writeln!(text, "== {title} ==").unwrap();
+    writeln!(text, "== {title} ==")?;
     writeln!(
         text,
         "{:<6} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8}",
         "mix", "BI", "SRAM", "cTLB", "BI", "SRAM", "cTLB"
-    )
-    .unwrap();
+    )?;
     let mut ipc_cols: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
     let mut rows = Vec::new();
     for (mi, (m, _)) in MIXES.iter().enumerate() {
@@ -345,8 +341,7 @@ pub fn fig09(h: &Harness) -> FigureData {
             text,
             "{:<6} {:>8.3} {:>8.3} {:>8.3} | {:>8.3} {:>8.3} {:>8.3}",
             m, row[0].0, row[1].0, row[2].0, row[0].1, row[1].1, row[2].1
-        )
-        .unwrap();
+        )?;
         rows.push(Json::obj([
             ("name", Json::from(*m)),
             (
@@ -364,8 +359,7 @@ pub fn fig09(h: &Harness) -> FigureData {
         text,
         "geomean IPC gains: BI {} SRAM {} cTLB {}   (paper: +11.2% / +34.9% / +38.4%)",
         fmt_pct(g[0]), fmt_pct(g[1]), fmt_pct(g[2])
-    )
-    .unwrap();
+    )?;
 
     let mut json = figure_json("fig09", title, h);
     json.push("mixes", Json::Arr(rows));
@@ -373,30 +367,29 @@ pub fn fig09(h: &Harness) -> FigureData {
         "geomean_normalized_ipc",
         Json::obj(orgs.iter().zip(&g).map(|(o, v)| (o.label(), Json::from(*v)))),
     );
-    FigureData {
+    Ok(FigureData {
         id: "fig09",
         title: title.to_string(),
         text,
         json,
-    }
+    })
 }
 
 /// Figure 10: sensitivity to DRAM cache size. IPC normalized to the
 /// bank-interleaving baseline at each size.
-pub fn fig10(h: &Harness) -> FigureData {
+fn fig10(h: &Harness) -> Result<FigureData, fmt::Error> {
     let title = "Figure 10: cache-size sensitivity (IPC normalized to BI)";
     let sizes = FIG10_SIZES;
     let jobs = jobs_for("fig10", &h.cfg).expect("known id");
     let results = h.run_all(&jobs);
 
     let mut text = String::new();
-    writeln!(text, "== {title} ==").unwrap();
+    writeln!(text, "== {title} ==")?;
     writeln!(
         text,
         "{:<6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "mix", "S 256MB", "T 256MB", "S 512MB", "T 512MB", "S 1GB", "T 1GB"
-    )
-    .unwrap();
+    )?;
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 6];
     let mut rows = Vec::new();
     for (mi, (m, _)) in MIXES.iter().enumerate() {
@@ -421,8 +414,7 @@ pub fn fig10(h: &Harness) -> FigureData {
             text,
             "{:<6} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
             m, row[0], row[1], row[2], row[3], row[4], row[5]
-        )
-        .unwrap();
+        )?;
         rows.push(Json::obj([
             ("name", Json::from(*m)),
             ("sizes", Json::Arr(sizes_json)),
@@ -433,10 +425,8 @@ pub fn fig10(h: &Harness) -> FigureData {
         text,
         "{:<6} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
         "geo", g[0], g[1], g[2], g[3], g[4], g[5]
-    )
-    .unwrap();
-    writeln!(text, "(paper: severe degradation below BI at 256MB, tagless ahead at large sizes)")
-        .unwrap();
+    )?;
+    writeln!(text, "(paper: severe degradation below BI at 256MB, tagless ahead at large sizes)")?;
 
     let mut json = figure_json("fig10", title, h);
     json.push("mixes", Json::Arr(rows));
@@ -456,24 +446,24 @@ pub fn fig10(h: &Harness) -> FigureData {
                 .collect(),
         ),
     );
-    FigureData {
+    Ok(FigureData {
         id: "fig10",
         title: title.to_string(),
         text,
         json,
-    }
+    })
 }
 
 /// Figure 11: FIFO vs LRU replacement for the tagless cache.
-pub fn fig11(h: &Harness) -> FigureData {
+fn fig11(h: &Harness) -> Result<FigureData, fmt::Error> {
     let title = "Figure 11: replacement policy (LRU IPC normalized to FIFO)";
     let sizes = FIG11_SIZES;
     let jobs = jobs_for("fig11", &h.cfg).expect("known id");
     let results = h.run_all(&jobs);
 
     let mut text = String::new();
-    writeln!(text, "== {title} ==").unwrap();
-    writeln!(text, "{:<6} {:>10} {:>10}", "mix", "1GB", "512MB").unwrap();
+    writeln!(text, "== {title} ==")?;
+    writeln!(text, "{:<6} {:>10} {:>10}", "mix", "1GB", "512MB")?;
     let mut all = Vec::new();
     let mut rows = Vec::new();
     for (mi, (m, _)) in MIXES.iter().enumerate() {
@@ -484,7 +474,7 @@ pub fn fig11(h: &Harness) -> FigureData {
             row.push(lru.normalized_ipc(fifo));
         }
         all.push(row[0]);
-        writeln!(text, "{:<6} {:>10.3} {:>10.3}", m, row[0], row[1]).unwrap();
+        writeln!(text, "{:<6} {:>10.3} {:>10.3}", m, row[0], row[1])?;
         rows.push(Json::obj([
             ("name", Json::from(*m)),
             ("lru_over_fifo_1gb", Json::from(row[0])),
@@ -496,35 +486,33 @@ pub fn fig11(h: &Harness) -> FigureData {
         text,
         "geomean LRU/FIFO at 1GB: {:.3}   (paper: LRU ahead by only 1.6% — FIFO suffices)",
         g
-    )
-    .unwrap();
+    )?;
 
     let mut json = figure_json("fig11", title, h);
     json.push("mixes", Json::Arr(rows));
     json.push("geomean_lru_over_fifo_1gb", g);
-    FigureData {
+    Ok(FigureData {
         id: "fig11",
         title: title.to_string(),
         text,
         json,
-    }
+    })
 }
 
 /// Figure 12: IPC speedup and EDP of the four PARSEC programs.
-pub fn fig12(h: &Harness) -> FigureData {
+fn fig12(h: &Harness) -> Result<FigureData, fmt::Error> {
     let title = "Figure 12: multi-threaded (PARSEC) IPC and EDP (normalized to No L3)";
     let orgs = FIG12_ORGS;
     let jobs = jobs_for("fig12", &h.cfg).expect("known id");
     let results = h.run_all(&jobs);
 
     let mut text = String::new();
-    writeln!(text, "== {title} ==").unwrap();
+    writeln!(text, "== {title} ==")?;
     writeln!(
         text,
         "{:<14} {:>8} {:>8} {:>8} | {:>8} {:>8}",
         "benchmark", "BI", "SRAM", "cTLB", "SRAM", "cTLB"
-    )
-    .unwrap();
+    )?;
     let mut rows = Vec::new();
     for (bi_idx, bench) in PARSEC_NAMES.iter().enumerate() {
         let group = &results[bi_idx * orgs.len()..(bi_idx + 1) * orgs.len()];
@@ -538,8 +526,7 @@ pub fn fig12(h: &Harness) -> FigureData {
             ctlb.normalized_ipc(base),
             sram.normalized_edp(base),
             ctlb.normalized_edp(base)
-        )
-        .unwrap();
+        )?;
         rows.push(Json::obj([
             ("name", Json::from(*bench)),
             ("bi_ipc", Json::from(bi.normalized_ipc(base))),
@@ -549,28 +536,30 @@ pub fn fig12(h: &Harness) -> FigureData {
             ("ctlb_edp", Json::from(ctlb.normalized_edp(base))),
         ]));
     }
-    writeln!(text, "(paper: streamcluster/facesim gain; swaptions/fluidanimate flat or slightly down)")
-        .unwrap();
+    writeln!(
+        text,
+        "(paper: streamcluster/facesim gain; swaptions/fluidanimate flat or slightly down)"
+    )?;
 
     let mut json = figure_json("fig12", title, h);
     json.push("benchmarks", Json::Arr(rows));
-    FigureData {
+    Ok(FigureData {
         id: "fig12",
         title: title.to_string(),
         text,
         json,
-    }
+    })
 }
 
 /// Figure 13: the §5.4 non-cacheable case study on 459.GemsFDTD.
-pub fn fig13(h: &Harness) -> FigureData {
+fn fig13(h: &Harness) -> Result<FigureData, fmt::Error> {
     let title = "Figure 13: non-cacheable pages on GemsFDTD (IPC normalized to No L3)";
     let jobs = jobs_for("fig13", &h.cfg).expect("known id");
     let results = h.run_all(&jobs);
     let (base, plain, nc) = (&results[0], &results[1], &results[2]);
 
     let mut text = String::new();
-    writeln!(text, "== {title} ==").unwrap();
+    writeln!(text, "== {title} ==")?;
     writeln!(
         text,
         "{:<10} {:>8.3}\n{:<10} {:>8.3}\n{:<10} {:>8.3}",
@@ -580,16 +569,14 @@ pub fn fig13(h: &Harness) -> FigureData {
         nc.normalized_ipc(base),
         "NC gain",
         nc.ipc_total() / plain.ipc_total()
-    )
-    .unwrap();
+    )?;
     writeln!(
         text,
         "off-package demand fraction: cTLB {:.3} -> cTLB+NC {:.3}",
         1.0 - plain.in_package_fraction(),
         1.0 - nc.in_package_fraction()
-    )
-    .unwrap();
-    writeln!(text, "(paper: +7.1% IPC from flagging pages with access count < 32)").unwrap();
+    )?;
+    writeln!(text, "(paper: +7.1% IPC from flagging pages with access count < 32)")?;
 
     let mut json = figure_json("fig13", title, h);
     json.push("ctlb_ipc", plain.normalized_ipc(base));
@@ -597,17 +584,17 @@ pub fn fig13(h: &Harness) -> FigureData {
     json.push("nc_gain", nc.ipc_total() / plain.ipc_total());
     json.push("off_pkg_fraction_ctlb", 1.0 - plain.in_package_fraction());
     json.push("off_pkg_fraction_ctlb_nc", 1.0 - nc.in_package_fraction());
-    FigureData {
+    Ok(FigureData {
         id: "fig13",
         title: title.to_string(),
         text,
         json,
-    }
+    })
 }
 
 /// Table 1: occurrence of the four (TLB, DRAM-cache) hit/miss cases of
 /// the tagless design, measured directly from the simulator.
-pub fn table1(h: &Harness) -> FigureData {
+fn table1(h: &Harness) -> Result<FigureData, fmt::Error> {
     let title = "Table 1: the four access cases (measured on GemsFDTD+NC)";
     let jobs = jobs_for("table1", &h.cfg).expect("known id");
     let nc: Arc<RunReport> = h.run_all(&jobs).pop().expect("one job in, one out");
@@ -616,41 +603,36 @@ pub fn table1(h: &Harness) -> FigureData {
         (s.case_hit_hit + s.case_hit_miss + s.case_miss_hit + s.case_miss_miss).max(1) as f64;
 
     let mut text = String::new();
-    writeln!(text, "== {title} ==").unwrap();
+    writeln!(text, "== {title} ==")?;
     writeln!(
         text,
         "(Hit, Hit)   cache hit, zero penalty:            {:>10} ({:.2}%)",
         s.case_hit_hit,
         s.case_hit_hit as f64 / total * 100.0
-    )
-    .unwrap();
+    )?;
     writeln!(
         text,
         "(Hit, Miss)  non-cacheable page:                 {:>10} ({:.2}%)",
         s.case_hit_miss,
         s.case_hit_miss as f64 / total * 100.0
-    )
-    .unwrap();
+    )?;
     writeln!(
         text,
         "(Miss, Hit)  in-package victim hit:              {:>10} ({:.2}%)",
         s.case_miss_hit,
         s.case_miss_hit as f64 / total * 100.0
-    )
-    .unwrap();
+    )?;
     writeln!(
         text,
         "(Miss, Miss) off-package miss (fill/GIPT/NC):    {:>10} ({:.2}%)",
         s.case_miss_miss,
         s.case_miss_miss as f64 / total * 100.0
-    )
-    .unwrap();
+    )?;
     writeln!(
         text,
         "page fills: {}   GIPT updates: {}   PU-suppressed duplicate fills: {}",
         s.page_fills, s.gipt_updates, s.pu_suppressed_fills
-    )
-    .unwrap();
+    )?;
 
     let mut json = figure_json("table1", title, h);
     json.push(
@@ -665,26 +647,25 @@ pub fn table1(h: &Harness) -> FigureData {
     json.push("page_fills", s.page_fills);
     json.push("gipt_updates", s.gipt_updates);
     json.push("pu_suppressed_fills", s.pu_suppressed_fills);
-    FigureData {
+    Ok(FigureData {
         id: "table1",
         title: title.to_string(),
         text,
         json,
-    }
+    })
 }
 
 /// Table 6: SRAM tag size and latency vs DRAM cache size (the CACTI-6.5
 /// substitute model). Analytic; runs no simulations.
-pub fn table6(h: &Harness) -> FigureData {
+fn table6(h: &Harness) -> Result<FigureData, fmt::Error> {
     let title = "Table 6: SRAM tag array vs cache size";
     let mut text = String::new();
-    writeln!(text, "== {title} ==").unwrap();
+    writeln!(text, "== {title} ==")?;
     writeln!(
         text,
         "{:<12} {:>10} {:>10} {:>12}",
         "cache size", "tag size", "latency", "probe energy"
-    )
-    .unwrap();
+    )?;
     let mut rows = Vec::new();
     for (label, bytes) in [
         ("128MB", 128u64 << 20),
@@ -700,8 +681,7 @@ pub fn table6(h: &Harness) -> FigureData {
             m.tag_mb(),
             m.latency_cycles(),
             m.probe_energy_pj()
-        )
-        .unwrap();
+        )?;
         rows.push(Json::obj([
             ("cache_size", Json::from(label)),
             ("cache_bytes", Json::from(bytes)),
@@ -710,21 +690,21 @@ pub fn table6(h: &Harness) -> FigureData {
             ("probe_energy_pj", Json::from(m.probe_energy_pj())),
         ]));
     }
-    writeln!(text, "(paper: 0.5/1/2/4 MB and 5/6/9/11 cycles)").unwrap();
+    writeln!(text, "(paper: 0.5/1/2/4 MB and 5/6/9/11 cycles)")?;
 
     let mut json = figure_json("table6", title, h);
     json.push("rows", Json::Arr(rows));
-    FigureData {
+    Ok(FigureData {
         id: "table6",
         title: title.to_string(),
         text,
         json,
-    }
+    })
 }
 
 /// The analytic AMAT model (Equations 1–5) at the paper-representative
 /// operating point, next to measured simulator latencies.
-pub fn amat(h: &Harness) -> FigureData {
+fn amat(h: &Harness) -> Result<FigureData, fmt::Error> {
     let title = "AMAT model (Equations 1-5)";
     let i = AmatInputs::paper_representative();
     let jobs = jobs_for("amat", &h.cfg).expect("known id");
@@ -732,23 +712,21 @@ pub fn amat(h: &Harness) -> FigureData {
     let (sram, ctlb) = (&results[0], &results[1]);
 
     let mut text = String::new();
-    writeln!(text, "== {title} ==").unwrap();
+    writeln!(text, "== {title} ==")?;
     writeln!(
         text,
         "analytic:  AMAT_SRAM-tag = {:.1} cycles, AMAT_Tagless = {:.1} cycles ({:.1}% lower)",
         AmatModel::amat_sram_tag(&i),
         AmatModel::amat_tagless(&i),
         (1.0 - AmatModel::amat_tagless(&i) / AmatModel::amat_sram_tag(&i)) * 100.0
-    )
-    .unwrap();
+    )?;
     writeln!(
         text,
         "measured (milc): SRAM {:.1} cycles, cTLB {:.1} cycles ({:.1}% lower)",
         sram.avg_l3_latency(),
         ctlb.avg_l3_latency(),
         (1.0 - ctlb.avg_l3_latency() / sram.avg_l3_latency()) * 100.0
-    )
-    .unwrap();
+    )?;
 
     let mut json = figure_json("amat", title, h);
     json.push(
@@ -765,10 +743,10 @@ pub fn amat(h: &Harness) -> FigureData {
             ("ctlb_latency", Json::from(ctlb.avg_l3_latency())),
         ]),
     );
-    FigureData {
+    Ok(FigureData {
         id: "amat",
         title: title.to_string(),
         text,
         json,
-    }
+    })
 }

@@ -5,6 +5,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tdc_core::experiment::Job;
 use tdc_core::{RunConfig, RunReport};
+use tdc_util::obs::saturating_nanos;
 
 use crate::cache::ResultCache;
 use crate::pool;
@@ -157,11 +158,15 @@ impl Harness {
             self.executed.fetch_add(completed.len(), Ordering::Relaxed);
             for ((key, job), done) in missing.into_iter().zip(completed) {
                 self.busy_ns
-                    .fetch_add(done.elapsed.as_nanos() as u64, Ordering::Relaxed);
+                    .fetch_add(saturating_nanos(done.elapsed), Ordering::Relaxed);
                 self.timings
                     .lock()
                     .expect("timings lock")
                     .push((job.label(), done.elapsed.as_secs_f64()));
+                #[expect(
+                    clippy::panic,
+                    reason = "a cell that fails to simulate leaves no figure to render"
+                )]
                 let report = done
                     .result
                     .unwrap_or_else(|e| panic!("job {} failed: {e}", job.label()));

@@ -23,9 +23,7 @@
 //!   budget (default 1.0; tests use tiny values for speed).
 
 use std::hint::black_box;
-// Wall-clock is the thing being measured here; timings never feed the
-// deterministic artifacts.
-use std::time::Instant; // tdc-lint: allow(time-source)
+use std::time::Instant;
 use tdc_dram::{AccessKind, DramConfig, DramController};
 use tdc_dram_cache::{L3System, SramTagCache, SystemParams, TaglessCache, VictimPolicy};
 use tdc_sram_cache::{CacheGeometry, Replacement, SetAssocCache};
@@ -115,6 +113,10 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 /// A kernel's effective per-run iteration budget after
 /// `TDC_BENCH_ITERS_SCALE` (floored at one call).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "iteration budgets are small and round down on purpose"
+)]
 fn effective_iters(iters: u64) -> u64 {
     let scale = std::env::var("TDC_BENCH_ITERS_SCALE")
         .ok()
@@ -135,7 +137,11 @@ pub fn measure(kernel: &Kernel, timing: &Timing) -> Vec<f64> {
     }
     let mut runs = Vec::new();
     loop {
-        let start = Instant::now(); // tdc-lint: allow(time-source)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock is what a kernel measures; it feeds no simulated result"
+        )]
+        let start = Instant::now();
         for _ in 0..iters {
             black_box(f());
         }
@@ -220,12 +226,6 @@ pub fn micro_kernels() -> Vec<Kernel> {
             name: "hist_record_merge",
             iters: 2_000_000,
             factory: k_hist_record_merge,
-        },
-        Kernel {
-            group: "lint",
-            name: "workspace_scan",
-            iters: 8,
-            factory: k_lint_workspace_scan,
         },
         Kernel {
             group: "pool",
@@ -328,14 +328,10 @@ fn k_tagless_cold_fill() -> Box<dyn FnMut() -> u64> {
     })
 }
 
-// Factory bodies run once per measurement to build state; only the
-// boxed closure is timed, so it alone carries the hot root.
-// tdc-lint: cold
 fn set_assoc(repl: Replacement) -> Box<dyn FnMut() -> u64> {
     let geom = CacheGeometry::new(2 << 20, 64, 16).expect("valid geometry");
     let mut cache = SetAssocCache::new(geom, repl);
     let mut rng = Pcg32::seed_from_u64(3);
-    // tdc-lint: hot
     Box::new(move || {
         let r = cache.access(rng.gen_range(16 << 20), false);
         u64::from(r.hit)
@@ -350,12 +346,9 @@ fn k_set_assoc_fifo() -> Box<dyn FnMut() -> u64> {
     set_assoc(Replacement::Fifo)
 }
 
-// Setup-only factory, as with `set_assoc` above.
-// tdc-lint: cold
 fn trace_kernel(name: &str) -> Box<dyn FnMut() -> u64> {
     let profile = profiles::spec(name).expect("known benchmark name").clone();
     let mut w = SyntheticWorkload::new(profile, 7, 0);
-    // tdc-lint: hot
     Box::new(move || w.next_ref().vaddr.0)
 }
 
@@ -373,32 +366,6 @@ fn k_zipf_sample() -> Box<dyn FnMut() -> u64> {
     Box::new(move || z.sample(&mut rng))
 }
 
-/// One full two-pass `tdc lint` of this workspace — file scan, item
-/// parse, call-graph build, every rule — so the analyzer's own cost is
-/// regression-gated like any simulator kernel (DESIGN.md §14). Runs
-/// single-threaded: the subject is the analysis, not the pool.
-fn k_lint_workspace_scan() -> Box<dyn FnMut() -> u64> {
-    let root = std::env::current_dir()
-        .ok()
-        .and_then(|cwd| tdc_lint::engine::find_workspace_root(&cwd))
-        .unwrap_or_else(|| {
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-        });
-    let mut cfg = tdc_lint::engine::Config::new(root);
-    cfg.jobs = 1;
-    // One warm-up scan so every timed run sees a hot page cache —
-    // otherwise the first run pays cold-file I/O and the cross-run
-    // drift trips the regression gate on noise, not analysis cost.
-    let _ = tdc_lint::engine::run(&cfg);
-    // The lint engine allocates freely by design; it analyzes hot
-    // paths, it isn't one.
-    // tdc-lint: cold
-    Box::new(move || {
-        let report = tdc_lint::engine::run(&cfg).expect("workspace sources readable");
-        report.graph.functions as u64
-    })
-}
-
 /// The slice-stealing scheduler under a deliberately skewed task-cost
 /// distribution (DESIGN.md §16): 32 tasks on 4 workers where the first
 /// home slice is all boulders and the rest are pebbles, so finishing
@@ -414,10 +381,10 @@ fn k_pool_steal_imbalanced() -> Box<dyn FnMut() -> u64> {
     // 8 boulders followed by 24 pebbles: with 4 workers and contiguous
     // seeding, worker 0 owns every boulder.
     let costs: Vec<u64> = (0..32u64).map(|i| if i < 8 { 32_000 } else { 500 }).collect();
-    // The batch setup (slice cursors, result vectors) and per-task spin
-    // are the measured scheduler cost; this closure is the pool's own
-    // gate, not a simulator hot path.
-    // tdc-lint: cold
+    // The batch setup (worker threads, slice cursors, result vectors)
+    // and per-task spin are the measured scheduler cost, so every call
+    // allocates: this closure is the pool's own gate, not a simulator
+    // hot path.
     Box::new(move || {
         let (parts, _) = tdc_util::pool::run_tasks(&costs, 4, |i, &spin| {
             let mut acc = i as u64 + 1;
@@ -480,11 +447,7 @@ mod tests {
             // Two instances produce identical value streams: kernels
             // are deterministic, only their timing varies.
             let mut g = k.instantiate();
-            // Low-iteration kernels do heavyweight work per call (the
-            // workspace lint scans ~90 files); two calls prove the
-            // point without slowing the suite.
-            let reps = if k.iters >= 1000 { 64 } else { 2 };
-            for _ in 0..reps {
+            for _ in 0..64 {
                 assert_eq!(f(), g(), "kernel {} is nondeterministic", k.id());
             }
         }

@@ -58,6 +58,12 @@
 //! println!("speedup: {:.2}x", reports[1].ipc_total() / reports[0].ipc_total());
 //! ```
 
+// The type-checked line rules of DESIGN.md §9, for non-test library code.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::panic, clippy::cast_possible_truncation)
+)]
+
 pub mod bench;
 pub mod cache;
 pub mod cli;

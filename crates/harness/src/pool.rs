@@ -11,9 +11,7 @@
 //! Only wall-clock time and the interleaving of progress lines vary.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-// Job timing feeds results/metrics.json, which is documented as the one
-// deliberately nondeterministic artifact (wall-clock telemetry).
-use std::time::{Duration, Instant}; // tdc-lint: allow(time-source)
+use std::time::{Duration, Instant};
 use tdc_core::experiment::Job;
 use tdc_core::RunReport;
 use tdc_util::obs::PoolTelemetry;
@@ -44,7 +42,11 @@ pub fn run_batch(
     let total = jobs.len();
     let done = AtomicUsize::new(0);
     tdc_util::pool::run_tasks(jobs, threads, |_, job| {
-        let start = Instant::now(); // tdc-lint: allow(time-source)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "job timing feeds only metrics.json, the one nondeterministic artifact"
+        )]
+        let start = Instant::now();
         let result = job.execute();
         let elapsed = start.elapsed();
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;

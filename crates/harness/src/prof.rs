@@ -21,9 +21,9 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::time::Instant; // tdc-lint: allow(time-source) profiling the host run itself
+use std::time::Instant;
 use tdc_core::experiment::run_job_probed;
-use tdc_util::obs::{ProfProbe, ProfRecorder};
+use tdc_util::obs::{saturating_nanos, ProfProbe, ProfRecorder};
 use tdc_util::probe::Phase;
 use tdc_util::Json;
 
@@ -180,7 +180,8 @@ pub fn run(args: &[String]) -> i32 {
     );
 
     let probe = ProfProbe::new();
-    let started = Instant::now(); // tdc-lint: allow(time-source)
+    #[expect(clippy::disallowed_methods, reason = "profiling the host run itself")]
+    let started = Instant::now();
     let report = match run_job_probed(&job, probe.clone()) {
         Ok(r) => r,
         Err(e) => {
@@ -188,7 +189,7 @@ pub fn run(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let wall_ns = started.elapsed().as_nanos() as u64;
+    let wall_ns = saturating_nanos(started.elapsed());
     let rec = probe.into_recorder();
 
     eprint!("{}", render_table(&job.label(), wall_ns, &rec));

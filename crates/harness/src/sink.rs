@@ -120,6 +120,10 @@ pub(crate) fn sanitize(s: &str) -> String {
 /// The per-run artifact filename for a cache key: readable prefix plus
 /// a hash of the full key (the key encodes config that the prefix
 /// omits).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the file name keeps the hash's low 32 bits"
+)]
 pub fn run_filename(key: &str, r: &RunReport) -> String {
     format!(
         "{}_{}_{:08x}.json",

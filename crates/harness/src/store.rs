@@ -40,8 +40,8 @@ include!(concat!(env!("OUT_DIR"), "/model_fingerprint.rs"));
 pub const STORE_VERSION: u64 = 3;
 
 /// Every field of one store entry, in serialization order. DESIGN.md
-/// §12 documents this schema; the `schema-sync` lint rule keeps the
-/// two in sync.
+/// §12 documents this schema; `tests/design_sync.rs` keeps the two in
+/// sync.
 pub const STORE_FIELDS: [&str; 4] = ["format_version", "key", "model_fingerprint", "report"];
 
 /// A directory of `cell-*.json` entries keyed by job cache key, read

@@ -131,6 +131,10 @@ impl CacheGeometry {
     #[inline]
     fn set_range(&self, line: u64) -> Range<usize> {
         let w = self.ways as usize;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "set numbers index in-memory lanes"
+        )]
         let base = self.set_of(line) as usize * w;
         base..base + w
     }
@@ -233,6 +237,10 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Creates an empty cache.
     pub fn new(geom: CacheGeometry, policy: Replacement) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the way count sizes in-memory lanes"
+        )]
         let n = (geom.sets * geom.ways as u64) as usize;
         Self {
             geom,
@@ -339,7 +347,6 @@ impl SetAssocCache {
     /// Compresses every set's stamps to their rank order (1 = oldest)
     /// and restarts the tick above the largest rank. Victim choice reads
     /// only the order of stamps within a set, so no choice changes.
-    // tdc-lint: cold
     fn renumber_stamps(&mut self) {
         let w = self.geom.ways as usize;
         let mut order = Vec::with_capacity(w);

@@ -26,6 +26,12 @@
 //! assert!(hit.hit);
 //! ```
 
+// The type-checked line rules of DESIGN.md §9, for non-test library code.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::panic, clippy::cast_possible_truncation)
+)]
+
 pub mod cache;
 pub mod tag_model;
 

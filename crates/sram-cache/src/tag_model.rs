@@ -66,6 +66,10 @@ impl TagArrayModel {
             b if b <= 1 << 30 => 11,
             b => {
                 // +2 cycles per doubling beyond 1GB.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a cache has at most 64 doublings"
+                )]
                 let doublings = ((b as f64) / (1u64 << 30) as f64).log2().ceil() as Cycle;
                 11 + 2 * doublings
             }

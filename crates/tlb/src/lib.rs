@@ -32,6 +32,12 @@
 //! assert!(tlb.lookup(Vpn(42)).is_some());
 //! ```
 
+// The type-checked line rules of DESIGN.md §9, for non-test library code.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::panic, clippy::cast_possible_truncation)
+)]
+
 pub mod page_table;
 pub mod tlb;
 pub mod walker;

@@ -153,9 +153,12 @@ impl PageTable {
         });
         let slot = self.ptes.len();
         debug_assert!(slot <= u32::MAX as usize, "page table exceeds u32 slots");
-        self.ptes.push(Pte::physical(ppn)); // tdc-lint: allow(hot-path-alloc) first touch only
-        self.vpns.push(vpn); // tdc-lint: allow(hot-path-alloc) first touch only
-        // tdc-lint: allow(cast-truncation, hot-path-alloc) slot bound debug_assert-pinned; first touch only
+        self.ptes.push(Pte::physical(ppn));
+        self.vpns.push(vpn);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "slot bound debug_assert-pinned above"
+        )]
         let old = self.index.insert(vpn.0, slot as u32);
         debug_assert!(old.is_none(), "VPN {vpn:?} double-faulted");
         &mut self.ptes[slot]
@@ -208,9 +211,9 @@ impl std::ops::Index<Vpn> for PageTable {
     type Output = Pte;
 
     /// Panics if `vpn` is unmapped (use [`PageTable::get`] to probe).
+    #[expect(clippy::panic, reason = "documented panicking accessor")]
     fn index(&self, vpn: Vpn) -> &Pte {
         self.get(vpn)
-            // tdc-lint: allow(panic-in-lib) documented panicking accessor
             .unwrap_or_else(|| panic!("PageTable: {vpn:?} not mapped"))
     }
 }
@@ -232,7 +235,7 @@ mod tests {
     #[test]
     fn distinct_vpns_get_distinct_frames() {
         let mut pt = PageTable::new(0);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for v in 0..10_000u64 {
             let Translation::Physical(ppn) = pt.translate_or_fault(Vpn(v)).frame else {
                 panic!("fresh page must be physical");

@@ -133,6 +133,10 @@ impl<P: Probe> Tlb<P> {
     }
 
     /// Total entry count.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "TLB geometries have far fewer than 2^32 entries"
+    )]
     pub fn entries(&self) -> u32 {
         self.keys.len() as u32
     }
@@ -159,6 +163,10 @@ impl<P: Probe> Tlb<P> {
 
     #[inline]
     fn set_range(&self, vpn: Vpn) -> std::ops::Range<usize> {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a remainder by the set count fits usize"
+        )]
         let set = (vpn.0 % self.sets) as usize;
         let w = self.ways as usize;
         set * w..set * w + w
@@ -285,6 +293,10 @@ impl<P: Probe> Tlb<P> {
     }
 
     /// Number of valid entries.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "TLB geometries have far fewer than 2^32 entries"
+    )]
     pub fn occupancy(&self) -> u32 {
         self.keys.iter().filter(|&&k| k != INVALID_KEY).count() as u32
     }

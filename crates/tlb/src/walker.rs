@@ -44,6 +44,7 @@ pub fn walk_addresses(asid: u32, vpn: Vpn) -> [PAddr; WALK_LEVELS] {
     let mut out = [PAddr(0); WALK_LEVELS];
     for (level, slot) in out.iter_mut().enumerate() {
         // Index consumed at this level (level 0 = root).
+        #[expect(clippy::cast_possible_truncation, reason = "a walk has four levels")]
         let shift = BITS_PER_LEVEL * (WALK_LEVELS - 1 - level) as u32;
         let index = (vpn.0 >> shift) & ((1 << BITS_PER_LEVEL) - 1);
         // Identify the table page by the prefix above this level.

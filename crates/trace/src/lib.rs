@@ -30,6 +30,12 @@
 //! assert!(r.gap_instrs < 10_000);
 //! ```
 
+// The type-checked line rules of DESIGN.md §9, for non-test library code.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::panic, clippy::cast_possible_truncation)
+)]
+
 pub mod parsec;
 pub mod profiles;
 pub mod record;

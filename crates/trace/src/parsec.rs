@@ -130,7 +130,7 @@ impl ParsecTraces {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn known_benchmarks_build() {
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn threads_share_pages_in_shared_region() {
         let p = ParsecTraces::new("streamcluster", 3).unwrap();
-        let pages = |tid: u32| -> HashSet<u64> {
+        let pages = |tid: u32| -> BTreeSet<u64> {
             let mut t = p.thread(tid);
             (0..2_000_000).map(|_| t.next_ref().vaddr.page().0).collect()
         };

@@ -70,6 +70,10 @@ impl SyntheticWorkload {
     /// # Panics
     ///
     /// Panics if the profile fails [`WorkloadProfile::validate`].
+    #[expect(
+        clippy::panic,
+        reason = "documented: an invalid profile is a caller bug"
+    )]
     pub fn new(profile: WorkloadProfile, seed: u64, instance: u32) -> Self {
         profile
             .validate()
@@ -77,6 +81,10 @@ impl SyntheticWorkload {
         let mut rng = Pcg32::seed_from_u64(seed ^ ((instance as u64) << 32));
         let zipf = Zipf::new(profile.footprint_pages, profile.zipf_skew)
             .expect("validated footprint/skew");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "page counts round down on purpose"
+        )]
         let stream_region_pages = ((profile.footprint_pages as f64
             * profile.stream_region_factor) as u64)
             .max(profile.footprint_pages);
@@ -166,6 +174,7 @@ impl TraceSource for SyntheticWorkload {
     fn next_ref(&mut self) -> MemRef {
         let vaddr = self.current_addr();
         let is_write = self.write.sample(&mut self.rng);
+        #[expect(clippy::cast_possible_truncation, reason = "clamped to u32::MAX first")]
         let gap = self.gap.sample(&mut self.rng).min(u32::MAX as u64) as u32;
         self.advance();
         MemRef {

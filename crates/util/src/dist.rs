@@ -117,6 +117,10 @@ impl Geometric {
     }
 
     /// Draws a sample via inversion.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "flooring to a count is the sampling step"
+    )]
     pub fn sample(&self, rng: &mut impl Rng) -> u64 {
         if self.p >= 1.0 {
             return 0;
@@ -217,6 +221,10 @@ impl Zipf {
             let x = self.h_inv(u);
             let k = (x + 0.5).floor().clamp(1.0, self.n as f64);
             if u >= self.h(k + 0.5) - (k.powf(-self.s)) {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "k is an integral rank in 1..=n"
+                )]
                 return k as u64 - 1;
             }
         }
@@ -309,6 +317,10 @@ impl WeightedIndex {
     /// Draws an index.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         let n = self.prob.len();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the draw is below a slice length"
+        )]
         let i = rng.gen_range(n as u64) as usize;
         if rng.next_f64() < self.prob[i] {
             i

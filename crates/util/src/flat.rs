@@ -83,6 +83,10 @@ impl<V: Copy + Default> FlatMap<V> {
     }
 
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the shift leaves log2(slots) bits"
+    )]
     fn start(&self, key: u64) -> usize {
         (key.wrapping_mul(FIB) >> self.shift) as usize
     }
@@ -193,7 +197,6 @@ impl<V: Copy + Default> FlatMap<V> {
 
     /// Doubles capacity and rehashes. Amortized over the insertions
     /// that triggered it — growth is not steady-state hot-path work.
-    // tdc-lint: cold
     fn grow(&mut self) {
         let new_slots = self.ctrl.len() * 2;
         let old_ctrl = std::mem::replace(&mut self.ctrl, vec![EMPTY; new_slots]);
@@ -219,7 +222,7 @@ impl<V: Copy + Default> std::ops::Index<u64> for FlatMap<V> {
         let mut i = self.start(key);
         loop {
             match self.ctrl[i] {
-                // tdc-lint: allow(panic-in-lib) documented panicking accessor
+                #[expect(clippy::panic, reason = "documented panicking accessor")]
                 EMPTY => panic!("FlatMap: key {key:#x} not present"),
                 FULL if self.keys[i] == key => return &self.vals[i],
                 _ => i = (i + 1) & mask,

@@ -112,6 +112,10 @@ impl Json {
     pub fn push(&mut self, key: impl Into<String>, value: impl Into<Json>) {
         match self {
             Json::Obj(pairs) => pairs.push((key.into(), value.into())),
+            #[expect(
+                clippy::panic,
+                reason = "documented: pushing onto a non-object is a caller bug"
+            )]
             other => panic!("Json::push on non-object {other:?}"),
         }
     }

@@ -24,7 +24,7 @@
 //!   [`NoProbe`] default), plus the [`Recorder`] sinks for interval
 //!   telemetry and Chrome trace-event export.
 //! * [`pool`] — a generic scoped worker pool ([`run_tasks`]) shared by
-//!   the experiment harness and the lint pass.
+//!   the experiment harness.
 //!   Scheduling is slice stealing (DESIGN.md §16): each worker owns a
 //!   contiguous slice of the task indices behind one atomic
 //!   [`pool::SliceCursor`], drains it, then drains the other slices in
@@ -53,6 +53,12 @@
 //! let rank = zipf.sample(&mut rng);
 //! assert!(rank < 1000);
 //! ```
+
+// The type-checked line rules of DESIGN.md §9, for non-test library code.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::panic, clippy::cast_possible_truncation)
+)]
 
 pub mod dist;
 pub mod flat;

@@ -21,15 +21,20 @@
 //!   ns, source-slice depth samples, per-task spans) collected by
 //!   [`crate::pool::run_tasks`] and rendered as a Perfetto
 //!   track by [`pool_trace_json`]; serialized fields fixed by
-//!   [`POOL_FIELDS`] and lint-pinned to DESIGN.md §16 (`schema-sync`
-//!   rule).
+//!   [`POOL_FIELDS`] and pinned to DESIGN.md §16 by the root
+//!   `tests/design_sync.rs`.
 
 use crate::json::Json;
 use crate::probe::{Phase, Probe};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
-use std::time::Instant; // tdc-lint: allow(time-source) host-side telemetry only
+use std::time::{Duration, Instant};
+
+/// `d` in whole nanoseconds, saturating at `u64::MAX` (584 years).
+pub fn saturating_nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
 
 // ---------------------------------------------------------------------------
 // Log-scale histogram
@@ -43,12 +48,14 @@ pub const HIST_BUCKETS: usize = 252;
 pub const HIST_VERSION: u64 = 1;
 
 /// Field names of a serialized histogram summary, in writer order.
-/// Lint-pinned to the DESIGN.md §13 `histogram-summary` block.
+/// Pinned to the DESIGN.md §13 `histogram-summary` block by the root
+/// `tests/design_sync.rs`.
 pub const HIST_FIELDS: [&str; 7] = ["count", "sum", "min", "max", "p50", "p90", "p99"];
 
 /// Maps a value to its bucket index. Values below 8 get exact
 /// buckets; above that, each power of two splits into 4 sub-buckets.
 #[inline]
+#[expect(clippy::cast_possible_truncation, reason = "v < 8 on the cast branch")]
 fn bucket_index(v: u64) -> usize {
     if v < 8 {
         v as usize
@@ -180,6 +187,10 @@ impl LogHistogram {
             return 0;
         }
         let q = q.clamp(0.0, 1.0);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a rank within the sample count"
+        )]
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cum = 0u64;
         for (idx, &c) in self.counts.iter().enumerate() {
@@ -223,7 +234,7 @@ pub struct ProfRecorder {
     calls: [u64; Phase::COUNT],
     hist: [LogHistogram; Phase::COUNT],
     /// Open spans: `(phase, start, ns consumed by nested spans)`.
-    stack: Vec<(Phase, Instant, u64)>, // tdc-lint: allow(time-source)
+    stack: Vec<(Phase, Instant, u64)>,
 }
 
 impl ProfRecorder {
@@ -236,10 +247,10 @@ impl ProfRecorder {
     ///
     /// Profiling is opt-in diagnostics (`tdc prof`); the span stack's
     /// amortized growth is recorder overhead the report subtracts, not
-    /// simulated work, so it sits outside the hot-path budget.
-    // tdc-lint: cold
+    /// simulated work.
     pub fn begin(&mut self, phase: Phase) {
-        self.stack.push((phase, Instant::now(), 0)); // tdc-lint: allow(time-source)
+        #[expect(clippy::disallowed_methods, reason = "host-side telemetry only")]
+        self.stack.push((phase, Instant::now(), 0));
     }
 
     /// Closes the innermost span, which must be for `phase`.
@@ -252,7 +263,7 @@ impl ProfRecorder {
             opened == phase,
             "phase_end({phase:?}) closes an open {opened:?} span"
         );
-        let full_ns = start.elapsed().as_nanos() as u64;
+        let full_ns = saturating_nanos(start.elapsed());
         self.record_span(opened, full_ns.saturating_sub(child_ns));
         if let Some(top) = self.stack.last_mut() {
             top.2 = top.2.saturating_add(full_ns);
@@ -349,8 +360,8 @@ impl Probe for ProfProbe {
 pub const POOL_VERSION: u64 = 1;
 
 /// Field names of a serialized pool-telemetry batch (batch level plus
-/// the per-worker objects), in writer order. Lint-pinned to the
-/// DESIGN.md §16 `pool-telemetry` block (`schema-sync` rule).
+/// the per-worker objects), in writer order. Pinned to the DESIGN.md
+/// §16 `pool-telemetry` block by the root `tests/design_sync.rs`.
 pub const POOL_FIELDS: [&str; 11] = [
     "format_version",
     "wall_ns",

@@ -3,8 +3,7 @@
 //! [`run_tasks`] executes one closure call per input item across a fixed
 //! number of OS threads and returns the results **in input order**,
 //! together with the batch's scheduler telemetry. It is the shared
-//! scheduler behind `tdc-harness`'s experiment batches and
-//! `tdc-lint`'s parallel file scan.
+//! scheduler behind `tdc-harness`'s experiment batches.
 //!
 //! Scheduling (DESIGN.md §16): worker `w` of `k` owns the contiguous
 //! index slice `w·n/k .. (w+1)·n/k`, held as one [`SliceCursor`] that
@@ -29,10 +28,10 @@
 //! schedule, never an input to any task, so result determinism is
 //! unaffected; callers that do not need it ignore it.
 
-use crate::obs::{LogHistogram, PoolTelemetry, TaskSpan, WorkerTelemetry};
+use crate::obs::{saturating_nanos, LogHistogram, PoolTelemetry, TaskSpan, WorkerTelemetry};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant; // tdc-lint: allow(time-source) schedule telemetry only
+use std::time::Instant;
 
 /// A contiguous range of task indices claimed front to back by any
 /// number of threads.
@@ -68,6 +67,10 @@ impl SliceCursor {
 
 /// Deterministic starting offset of worker `me`'s victim rotation
 /// (SplitMix64 finalizer over the worker id — seeded, not random).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a remainder by the thread count fits usize"
+)]
 fn rotation_start(me: usize, threads: usize) -> usize {
     let mut z = (me as u64) ^ 0x9E37_79B9_7F4A_7C15;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -111,7 +114,8 @@ where
     let slices: Vec<SliceCursor> = (0..threads)
         .map(|w| SliceCursor::new(w * total / threads..(w + 1) * total / threads))
         .collect();
-    let launch = Instant::now(); // tdc-lint: allow(time-source)
+    #[expect(clippy::disallowed_methods, reason = "schedule telemetry only")]
+    let launch = Instant::now();
 
     let logs: Vec<WorkerLog<R>> = std::thread::scope(|scope| {
         let (work, slices) = (&work, &slices);
@@ -137,9 +141,13 @@ where
                                 log.counters.steal_failures += u64::from(stolen);
                                 break;
                             };
-                            let begin = Instant::now(); // tdc-lint: allow(time-source)
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "schedule telemetry only"
+                            )]
+                            let begin = Instant::now();
                             let result = work(i, &items[i]);
-                            let dur_ns = begin.elapsed().as_nanos() as u64;
+                            let dur_ns = saturating_nanos(begin.elapsed());
                             log.results.push((i, result));
                             if stolen {
                                 log.counters.stolen += 1;
@@ -151,7 +159,7 @@ where
                             log.spans.push(TaskSpan {
                                 worker: me,
                                 index: i,
-                                start_ns: begin.duration_since(launch).as_nanos() as u64,
+                                start_ns: saturating_nanos(begin.duration_since(launch)),
                                 dur_ns,
                                 stolen,
                             });
@@ -167,7 +175,7 @@ where
             .collect()
     });
 
-    let wall_ns = launch.elapsed().as_nanos() as u64;
+    let wall_ns = saturating_nanos(launch.elapsed());
     let mut telemetry = PoolTelemetry {
         wall_ns,
         ..PoolTelemetry::default()

@@ -280,8 +280,8 @@ impl ProbeEvent {
 /// own wall clock), not simulated-cycle events: `tdc prof` runs one
 /// probed cell with a [`crate::obs::ProfProbe`] and reports how the
 /// run's wall time splits across these phases. The set is closed and
-/// lint-checked: every variant declared here must have at least one
-/// emit site in a simulator crate (`probe-coverage` rule).
+/// checked: the root `tests/design_sync.rs` requires a probed run to
+/// emit every variant declared here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Address translation: the tagless translate path or, for
@@ -588,7 +588,6 @@ impl Recorder {
     /// Event capture is opt-in instrumentation — bench kernels attach
     /// the null probe, so this body never runs on a timed path; its
     /// buffers are the diagnostic product itself.
-    // tdc-lint: cold
     pub fn record(&mut self, now: Cycle, ev: ProbeEvent) {
         if self.mask & ev.group().bit() == 0 {
             return;

@@ -40,6 +40,10 @@ pub trait Rng {
         loop {
             let x = self.next_u64();
             let m = (x as u128).wrapping_mul(bound as u128);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "Lemire's method keeps the low 64 bits by design"
+            )]
             let low = m as u64;
             if low >= bound {
                 return (m >> 64) as u64;
@@ -151,6 +155,10 @@ impl Pcg32 {
     fn step(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "PCG-XSH-RR keeps the low 32 bits by design"
+        )]
         let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
         let rot = (old >> 59) as u32;
         xorshifted.rotate_right(rot)

@@ -178,6 +178,10 @@ impl Histogram {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a rank within the sample count"
+        )]
         let target = (q * self.total as f64).ceil().max(1.0) as u64;
         let mut cum = 0;
         for (i, &c) in self.counts.iter().enumerate() {

@@ -106,6 +106,10 @@ const REPORT_TAIL: usize = 24;
 /// Runs the differential check and panics with a readable report —
 /// divergence detail plus the (tail of the) minimal failing prefix —
 /// if the models disagree.
+#[expect(
+    clippy::panic,
+    reason = "test-harness assertion; panicking is its contract"
+)]
 pub fn assert_equiv<Op: std::fmt::Debug>(
     name: &str,
     ops: &[Op],
@@ -122,7 +126,6 @@ pub fn assert_equiv<Op: std::fmt::Debug>(
     for (i, op) in ops[..d.prefix_len].iter().enumerate().skip(start) {
         listing.push_str(&format!("  [{i}] {op:?}\n"));
     }
-    // tdc-lint: allow(panic-in-lib) test-harness assertion; panicking is its contract
     panic!(
         "{name}: reference/flat divergence after {} of {} ops\n  {}\nminimal failing prefix:\n{listing}",
         d.prefix_len,

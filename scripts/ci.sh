@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 echo "== build (release, all crates) =="
 cargo build --release --workspace
 
-echo "== lint (clippy, warnings are errors) =="
+echo "== lint (clippy: the determinism rules of DESIGN.md §9, warnings are errors) =="
 cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== docs (rustdoc, warnings are errors) =="
@@ -34,14 +34,8 @@ grep -q '^== Ablation 4' <<<"$ablation_out" \
 echo "== tests: simbench (its own workspace, built on the crates' public API) =="
 cargo test --release --offline -q --manifest-path simbench/Cargo.toml
 
-echo "== lint: tdc lint (determinism & invariant static analysis) =="
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
-./target/release/tdc lint --out "$out"
-test -s "$out/lint.json" || { echo "lint wrote no lint.json" >&2; exit 1; }
-
-echo "== lint: hot-path allocation gate (--only filter smoke) =="
-./target/release/tdc lint --only hot-path-alloc --no-out
 
 echo "== smoke: tdc all --jobs 2 at 5% scale (cold, populating the store) =="
 ./target/release/tdc all --jobs 2 --scale 0.05 --quiet --out "$out" \

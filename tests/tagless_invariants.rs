@@ -157,7 +157,7 @@ fn shared_pages_within_process_do_not_alias() {
 #[test]
 fn cross_process_pages_never_share_frames() {
     let mut l3 = TaglessCache::new(&params(256, 2), VictimPolicy::Fifo);
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     let mut now = 0;
     for core in 0..2usize {
         for v in 0..20u64 {
