@@ -1,24 +1,23 @@
-//! `tdc bench` — commit-stamped performance history with a noise-aware
-//! regression gate (DESIGN.md §11).
+//! `tdc bench` — the simulator's host-time cost, measured and compared
+//! between two records taken on one host (DESIGN.md §11).
 //!
-//! Three subcommands:
+//! Two subcommands over one record format:
 //!
 //! * `tdc bench run` executes every micro kernel from
 //!   [`crate::kernels`] plus a small fixed set of figure-job cells
 //!   (through the existing worker pool, [`crate::pool::run_batch`]),
 //!   each repeated until [`tdc_util::stats::median_window_stable`]
-//!   settles, and appends one commit-stamped record — git SHA, dirty
+//!   settles, and writes one pretty-printed record — git SHA, dirty
 //!   flag, figure scale, host fingerprint, per-bench median + spread —
-//!   to `results/bench-history.jsonl`, also writing a pretty-printed
-//!   `BENCH_<sha>.json` stamp for CI to publish.
-//! * `tdc bench check` compares the latest history record against a
-//!   checked-in baseline with noise-aware thresholds: a bench regresses
-//!   only when its median lands outside the **combined recorded
-//!   spread** (baseline + current) by a relative `--margin` (default
-//!   25%). Exits non-zero on regression. `--update` rewrites the
-//!   baseline from the latest record — and refuses when that record
-//!   was taken on a dirty tree (override: `--allow-dirty`).
-//! * `tdc bench history` renders the trajectory from the JSONL.
+//!   to `results/bench.json` (`--out` to redirect).
+//! * `tdc bench check BASE CURRENT` compares two record files as a pure
+//!   function: a bench regresses only when its current median exceeds
+//!   the base median by more than the **base record's spread** plus a
+//!   relative `--margin` (default 25%). The current record's spread
+//!   stays out of the threshold, so a slowdown cannot widen its own
+//!   band. The pair is refused unless both records share `host`,
+//!   `scale` and `format_version`. Exits 1 on a regression, a missing
+//!   bench or a refused pair.
 //!
 //! The record schema is pinned three ways: [`RECORD_FIELDS`] /
 //! [`RECORD_VERSION`] here, prose in DESIGN.md §11, and the root
@@ -27,22 +26,20 @@
 //!
 //! Records are deterministic apart from the timings themselves: no
 //! wall-clock timestamps, no environment beyond the host fingerprint.
-//! `TDC_BENCH_HANDICAP="group/name=FACTOR,..."` multiplies measured
-//! timings after the fact — a test-only hook for exercising the
-//! regression gate without actually slowing a kernel down.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use tdc_core::experiment::{Job, OrgKind, RunConfig, Workload};
-use tdc_util::stats::{geomean, is_improvement, is_regression, median, regression_threshold, spread};
+use tdc_util::stats::{is_improvement, is_regression, median, regression_threshold, spread};
 use tdc_util::Json;
 
 use crate::kernels::{measure, micro_kernels, Timing};
 use crate::SEED;
 
-/// Version stamped into every record (bump on schema change, and keep
-/// DESIGN.md §11 in sync — `tests/design_sync.rs` checks).
-pub const RECORD_VERSION: u64 = 1;
+/// Version stamped into every record (bump on schema change or when a
+/// bench starts measuring something else, and keep DESIGN.md §11 in
+/// sync — `tests/design_sync.rs` checks).
+pub const RECORD_VERSION: u64 = 2;
 
 /// Top-level record fields, in serialization order.
 /// `tests/design_sync.rs` keeps this list equal to the DESIGN.md §11
@@ -71,13 +68,7 @@ pub const BENCH_FIELDS: [&str; 9] = [
     "ns_per_op_max",
 ];
 
-/// History file name under the artifact directory.
-pub const HISTORY_FILE: &str = "bench-history.jsonl";
-
-/// Default checked-in baseline path for `tdc bench check`.
-pub const DEFAULT_BASELINE: &str = "baselines/bench-baseline.json";
-
-/// Default relative regression margin on top of the recorded spread.
+/// Default relative regression margin on top of the base spread.
 pub const DEFAULT_MARGIN: f64 = 0.25;
 
 /// Default figure scale for the figure-job cells: small enough for CI,
@@ -94,35 +85,24 @@ const FIGURE_CELLS: [(&str, OrgKind, &str); 3] = [
 ];
 
 const USAGE: &str = "\
-tdc bench — commit-stamped performance history with a regression gate
+tdc bench — measure the simulator's host-time cost; compare two records
 
 USAGE:
-    tdc bench run     [--out DIR] [--stamp-dir DIR] [--scale F]
-                      [--jobs N] [--quiet]
-    tdc bench check   [--history FILE] [--baseline FILE] [--margin F]
-                      [--update] [--allow-dirty] [--strict-host]
-    tdc bench history [--history FILE] [--bench GROUP/NAME]
+    tdc bench run   [--out FILE] [--scale F] [--jobs N] [--quiet]
+    tdc bench check BASE CURRENT [--margin F]
 
 RUN OPTIONS:
-    --out DIR        History directory (default: results; appends
-                     bench-history.jsonl)
-    --stamp-dir DIR  Where BENCH_<sha>.json is written (default: .)
-    --scale F        Figure-cell run-length scale (default: 0.02)
-    --jobs N         Worker threads for the figure cells (default: 1,
-                     the low-noise choice)
-    --quiet          Suppress per-bench progress lines
+    --out FILE   Where the record is written (default: results/bench.json)
+    --scale F    Figure-cell run-length scale (default: 0.02)
+    --jobs N     Worker threads for the figure cells (default: 1,
+                 the low-noise choice)
+    --quiet      Suppress per-bench progress lines
 
-CHECK OPTIONS:
-    --history FILE   History to read (default: results/bench-history.jsonl)
-    --baseline FILE  Baseline to gate against
-                     (default: baselines/bench-baseline.json)
-    --margin F       Relative regression margin beyond the combined
-                     spread (default: 0.25)
-    --update         Rewrite the baseline from the latest record
-                     (refused when the record is from a dirty tree)
-    --allow-dirty    Override the dirty-tree refusal
-    --strict-host    Gate even when the host fingerprint differs from
-                     the baseline (default: informational only)
+CHECK:
+    BASE CURRENT Two records written by 'tdc bench run' on one host at
+                 one scale; exit 1 when CURRENT regresses against BASE
+    --margin F   Relative regression margin beyond BASE's recorded
+                 spread (default: 0.25)
 
 Timing knobs (env): TDC_BENCH_RUNS (min runs, default 3),
 TDC_BENCH_MAX_RUNS (cap, default 10), TDC_BENCH_ITERS_SCALE
@@ -180,43 +160,14 @@ impl Measured {
     }
 }
 
-/// Parses `TDC_BENCH_HANDICAP` (`group/name=FACTOR,...`) into
-/// `(id, factor)` pairs. Malformed entries are ignored.
-fn parse_handicap(spec: &str) -> Vec<(String, f64)> {
-    spec.split(',')
-        .filter_map(|entry| {
-            let (id, factor) = entry.split_once('=')?;
-            let factor: f64 = factor.trim().parse().ok()?;
-            if factor.is_finite() && factor > 0.0 && id.contains('/') {
-                Some((id.trim().to_string(), factor))
-            } else {
-                None
-            }
-        })
-        .collect()
-}
-
-/// Applies the `TDC_BENCH_HANDICAP` test hook to a measured series.
-fn apply_handicap(m: &mut Measured, handicaps: &[(String, f64)]) {
-    let id = m.id();
-    for (bench, factor) in handicaps {
-        if *bench == id {
-            for r in &mut m.runs {
-                *r *= factor;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Commit stamp / host fingerprint
 // ---------------------------------------------------------------------------
 
 /// `(short sha, dirty)` for the working tree. Dirty means **tracked**
 /// modifications (`git status --porcelain --untracked-files=no`):
-/// generated artifacts like `BENCH_<sha>.json` must not poison later
-/// runs. When git is unavailable the stamp is `("unknown", true)` —
-/// conservatively dirty, so it can never become a baseline silently.
+/// generated artifacts like the record itself must not poison later
+/// runs. When git is unavailable the stamp is `("unknown", true)`.
 fn git_info() -> (String, bool) {
     let sha = Command::new("git")
         .args(["rev-parse", "--short=12", "HEAD"])
@@ -254,8 +205,8 @@ fn host_json() -> Json {
     ])
 }
 
-/// Assembles one history record with exactly the [`RECORD_FIELDS`]
-/// keys, in order.
+/// Assembles one record with exactly the [`RECORD_FIELDS`] keys, in
+/// order.
 fn record_json(
     sha: &str,
     dirty: bool,
@@ -289,7 +240,6 @@ fn record_json(
 
 struct RunOpts {
     out: PathBuf,
-    stamp_dir: PathBuf,
     scale: f64,
     jobs: usize,
     quiet: bool,
@@ -297,8 +247,7 @@ struct RunOpts {
 
 fn parse_run(args: &[String]) -> Result<RunOpts, String> {
     let mut opts = RunOpts {
-        out: PathBuf::from("results"),
-        stamp_dir: PathBuf::from("."),
+        out: PathBuf::from("results").join("bench.json"),
         scale: DEFAULT_FIGURE_SCALE,
         jobs: 1,
         quiet: false,
@@ -312,7 +261,6 @@ fn parse_run(args: &[String]) -> Result<RunOpts, String> {
         };
         match arg.as_str() {
             "--out" => opts.out = PathBuf::from(value("--out")?),
-            "--stamp-dir" => opts.stamp_dir = PathBuf::from(value("--stamp-dir")?),
             "--scale" => {
                 let f = value("--scale")?
                     .parse::<f64>()
@@ -338,8 +286,9 @@ fn parse_run(args: &[String]) -> Result<RunOpts, String> {
 
 /// Times the figure-job cells through the worker pool: every
 /// repetition executes the whole batch, recording per-job wall-clock
-/// normalized to ns per measured reference, until every cell's series
-/// is stable (or the run cap is hit).
+/// normalized to ns per simulated reference — warm-up plus measured,
+/// over the cell's cores — until every cell's series is stable (or the
+/// run cap is hit).
 fn measure_figure_cells(
     scale: f64,
     jobs: usize,
@@ -350,25 +299,28 @@ fn measure_figure_cells(
         .iter()
         .map(|(bench, org, _)| Job::new(Workload::Spec(bench.to_string()), *org, cfg))
         .collect();
+    let mut refs = vec![0u64; cells.len()];
     let mut series: Vec<Vec<f64>> = vec![Vec::new(); cells.len()];
     while series.iter().any(|s| timing.wants_more(s)) {
         let quiet = |_: usize, _: usize, _: &str, _: std::time::Duration| {};
         let (batch, _) = crate::pool::run_batch(&cells, jobs, &quiet);
         for (i, done) in batch.iter().enumerate() {
-            if let Err(e) = &done.result {
-                return Err(format!("figure cell {} failed: {e}", cells[i].label()));
-            }
-            series[i].push(done.elapsed.as_nanos() as f64 / cfg.measured_refs as f64);
+            let report = done
+                .result
+                .as_ref()
+                .map_err(|e| format!("figure cell {} failed: {e}", cells[i].label()))?;
+            refs[i] = report.cores.len() as u64 * (cfg.warmup_refs + cfg.measured_refs);
+            series[i].push(done.elapsed.as_nanos() as f64 / refs[i] as f64);
         }
     }
     Ok(FIGURE_CELLS
         .iter()
-        .zip(series)
-        .map(|((_, _, name), runs)| Measured {
+        .zip(refs.into_iter().zip(series))
+        .map(|((_, _, name), (iters, runs))| Measured {
             kind: "figure",
             group: "figure".to_string(),
             name: name.to_string(),
-            iters: cfg.measured_refs,
+            iters,
             runs,
         })
         .collect())
@@ -376,10 +328,18 @@ fn measure_figure_cells(
 
 fn cmd_run(opts: &RunOpts) -> Result<(), String> {
     let timing = Timing::from_env();
-    let handicaps = std::env::var("TDC_BENCH_HANDICAP")
-        .map(|s| parse_handicap(&s))
-        .unwrap_or_default();
     let (sha, dirty) = git_info();
+    let progress = |m: &Measured, unit: &str| {
+        if !opts.quiet {
+            println!(
+                "  {:<36} {:>10.1} {unit} (median of {}, spread {:.1})",
+                m.id(),
+                m.median(),
+                m.runs.len(),
+                m.spread()
+            );
+        }
+    };
     if !opts.quiet {
         println!(
             "tdc bench | {sha}{} | scale {} | {}..{} runs/bench",
@@ -392,68 +352,31 @@ fn cmd_run(opts: &RunOpts) -> Result<(), String> {
 
     let mut benches: Vec<Measured> = Vec::new();
     for kernel in micro_kernels() {
-        let runs = measure(&kernel, &timing);
-        let mut m = Measured {
+        let m = Measured {
             kind: "micro",
             group: kernel.group.to_string(),
             name: kernel.name.to_string(),
             iters: kernel.iters,
-            runs,
+            runs: measure(&kernel, &timing),
         };
-        apply_handicap(&mut m, &handicaps);
-        if !opts.quiet {
-            println!(
-                "  {:<36} {:>10.1} ns/op  (median of {}, spread {:.1})",
-                m.id(),
-                m.median(),
-                m.runs.len(),
-                m.spread()
-            );
-        }
+        progress(&m, "ns/op ");
         benches.push(m);
     }
-    for mut m in measure_figure_cells(opts.scale, opts.jobs, &timing)? {
-        apply_handicap(&mut m, &handicaps);
-        if !opts.quiet {
-            println!(
-                "  {:<36} {:>10.1} ns/ref (median of {}, spread {:.1})",
-                m.id(),
-                m.median(),
-                m.runs.len(),
-                m.spread()
-            );
-        }
+    for m in measure_figure_cells(opts.scale, opts.jobs, &timing)? {
+        progress(&m, "ns/ref");
         benches.push(m);
     }
 
     let record = record_json(&sha, dirty, opts.scale, host_json(), &timing, &benches);
-    std::fs::create_dir_all(&opts.out)
-        .map_err(|e| format!("cannot create {}: {e}", opts.out.display()))?;
-    let history = opts.out.join(HISTORY_FILE);
-    let mut line = record.to_compact();
-    line.push('\n');
-    append_file(&history, &line)?;
-    let stamp = opts.stamp_dir.join(format!("BENCH_{sha}.json"));
-    std::fs::create_dir_all(&opts.stamp_dir)
-        .map_err(|e| format!("cannot create {}: {e}", opts.stamp_dir.display()))?;
-    std::fs::write(&stamp, record.pretty())
-        .map_err(|e| format!("cannot write {}: {e}", stamp.display()))?;
+    if let Some(dir) = opts.out.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
+    std::fs::write(&opts.out, record.pretty())
+        .map_err(|e| format!("cannot write {}: {e}", opts.out.display()))?;
     if !opts.quiet {
-        println!("tdc bench: appended {} ({} benches)", history.display(), benches.len());
-        println!("tdc bench: wrote {}", stamp.display());
+        println!("tdc bench: wrote {} ({} benches)", opts.out.display(), benches.len());
     }
     Ok(())
-}
-
-fn append_file(path: &Path, text: &str) -> Result<(), String> {
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    f.write_all(text.as_bytes())
-        .map_err(|e| format!("cannot append to {}: {e}", path.display()))
 }
 
 // ---------------------------------------------------------------------------
@@ -461,80 +384,61 @@ fn append_file(path: &Path, text: &str) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 struct CheckOpts {
-    history: PathBuf,
-    baseline: PathBuf,
+    base: PathBuf,
+    current: PathBuf,
     margin: f64,
-    update: bool,
-    allow_dirty: bool,
-    strict_host: bool,
 }
 
 fn parse_check(args: &[String]) -> Result<CheckOpts, String> {
-    let mut opts = CheckOpts {
-        history: PathBuf::from("results").join(HISTORY_FILE),
-        baseline: PathBuf::from(DEFAULT_BASELINE),
-        margin: DEFAULT_MARGIN,
-        update: false,
-        allow_dirty: false,
-        strict_host: false,
-    };
+    let mut paths = Vec::new();
+    let mut margin = DEFAULT_MARGIN;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .map(|s| s.to_string())
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
         match arg.as_str() {
-            "--history" => opts.history = PathBuf::from(value("--history")?),
-            "--baseline" => opts.baseline = PathBuf::from(value("--baseline")?),
             "--margin" => {
-                let f = value("--margin")?
+                let f = it
+                    .next()
+                    .ok_or("--margin needs a value")?
                     .parse::<f64>()
                     .map_err(|_| "--margin needs a number".to_string())?;
                 if !(f.is_finite() && f >= 0.0) {
                     return Err("--margin must be a non-negative number".into());
                 }
-                opts.margin = f;
+                margin = f;
             }
-            "--update" => opts.update = true,
-            "--allow-dirty" => opts.allow_dirty = true,
-            "--strict-host" => opts.strict_host = true,
             "-h" | "--help" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown 'tdc bench check' argument '{other}'")),
+            other if other.starts_with('-') => {
+                return Err(format!("unknown 'tdc bench check' argument '{other}'"))
+            }
+            path => paths.push(PathBuf::from(path)),
         }
     }
-    Ok(opts)
-}
-
-/// Reads and validates the most recent record from the history JSONL.
-fn latest_record(history: &Path) -> Result<Json, String> {
-    let text = std::fs::read_to_string(history).map_err(|e| {
+    let [base, current] = <[PathBuf; 2]>::try_from(paths).map_err(|paths| {
         format!(
-            "cannot read {}: {e} (run `tdc bench run` first)",
-            history.display()
+            "'tdc bench check' takes two record files, BASE and CURRENT ({} given)",
+            paths.len()
         )
     })?;
-    let line = text
-        .lines()
-        .rev()
-        .find(|l| !l.trim().is_empty())
-        .ok_or_else(|| format!("{} is empty", history.display()))?;
-    let record = Json::parse(line)
-        .map_err(|e| format!("{}: malformed last record: {e}", history.display()))?;
-    validate_record(&record).map_err(|e| format!("{}: {e}", history.display()))?;
+    Ok(CheckOpts {
+        base,
+        current,
+        margin,
+    })
+}
+
+/// Reads and validates one record file.
+fn read_record(path: &Path) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let record =
+        Json::parse(&text).map_err(|e| format!("{}: malformed record: {e}", path.display()))?;
+    validate_record(&record).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(record)
 }
 
 fn validate_record(record: &Json) -> Result<(), String> {
-    match record.get("format_version").and_then(Json::as_u64) {
-        Some(RECORD_VERSION) => {}
-        Some(v) => {
-            return Err(format!(
-                "record format_version {v} does not match this binary's {RECORD_VERSION}"
-            ))
-        }
-        None => return Err("record has no format_version".to_string()),
+    if record.get("format_version").and_then(Json::as_u64).is_none() {
+        return Err("record has no format_version".to_string());
     }
     match record.get("benches") {
         Some(Json::Arr(b)) if !b.is_empty() => Ok(()),
@@ -542,15 +446,34 @@ fn validate_record(record: &Json) -> Result<(), String> {
     }
 }
 
-fn record_is_dirty(record: &Json) -> bool {
-    matches!(record.get("dirty"), Some(Json::Bool(true)))
+/// Refuses a pair whose timings measure different things: another
+/// host, another figure scale or another record format.
+fn check_comparable(base: &Json, current: &Json) -> Result<(), String> {
+    for field in ["format_version", "host", "scale"] {
+        let (b, c) = (base.get(field), current.get(field));
+        if b != c {
+            let show = |v: Option<&Json>| v.map_or("nothing".to_string(), Json::to_compact);
+            return Err(format!(
+                "{field} mismatch: BASE has {} but CURRENT has {}; compare two records \
+                 from one host, at one scale, in one format",
+                show(b),
+                show(c)
+            ));
+        }
+    }
+    Ok(())
 }
 
-fn record_sha(record: &Json) -> &str {
-    record
+/// `sha`, marked when the record was taken on a dirty tree.
+fn provenance(record: &Json) -> String {
+    let sha = record
         .get("git_sha")
         .and_then(Json::as_str)
-        .unwrap_or("unknown")
+        .unwrap_or("unknown");
+    match record.get("dirty") {
+        Some(Json::Bool(true)) => format!("{sha} (dirty)"),
+        _ => sha.to_string(),
+    }
 }
 
 /// One compared bench in the check report.
@@ -567,9 +490,9 @@ enum Verdict {
     Ok,
     Improved,
     Regression,
-    /// In the current record but not the baseline (informational).
+    /// In the current record but not the base (informational).
     New,
-    /// In the baseline but not the current record (gates like a
+    /// In the base but not the current record (gates like a
     /// regression: a silently dropped bench must not pass).
     Missing,
 }
@@ -603,46 +526,33 @@ fn bench_stats(record: &Json) -> Vec<(String, f64, f64)> {
         .collect()
 }
 
-/// Compares the current record against the baseline. Pure — exercised
+/// Compares the current record against the base. Pure — exercised
 /// directly by the unit tests, and by `tdc bench check`.
 ///
 /// Noise model: a bench regresses only when its current median exceeds
-/// `baseline_median + (baseline_spread + current_spread) +
-/// margin * baseline_median` — i.e. outside the combined recorded
-/// run-to-run spread by the relative margin
-/// ([`tdc_util::stats::is_regression`]).
-fn compare_records(baseline: &Json, current: &Json, margin: f64) -> Vec<Row> {
-    let base = bench_stats(baseline);
+/// `base_median + base_spread + margin * base_median`
+/// ([`tdc_util::stats::is_regression`]). Only the base's spread is the
+/// noise band; the current spread grows with a slowdown, so counting it
+/// would let a slowdown hide itself.
+fn compare_records(base: &Json, current: &Json, margin: f64) -> Vec<Row> {
+    let base = bench_stats(base);
     let cur = bench_stats(current);
     let mut rows = Vec::new();
     for (id, b_med, b_spr) in &base {
-        let found = cur.iter().find(|(cid, _, _)| cid == id);
-        match found {
-            None => rows.push(Row {
-                id: id.clone(),
-                baseline: Some(*b_med),
-                current: None,
-                threshold: regression_threshold(*b_med, *b_spr, margin),
-                verdict: Verdict::Missing,
-            }),
-            Some((_, c_med, c_spr)) => {
-                let noise = b_spr + c_spr;
-                let verdict = if is_regression(*c_med, *b_med, noise, margin) {
-                    Verdict::Regression
-                } else if is_improvement(*c_med, *b_med, noise, margin) {
-                    Verdict::Improved
-                } else {
-                    Verdict::Ok
-                };
-                rows.push(Row {
-                    id: id.clone(),
-                    baseline: Some(*b_med),
-                    current: Some(*c_med),
-                    threshold: regression_threshold(*b_med, noise, margin),
-                    verdict,
-                });
-            }
-        }
+        let c_med = cur.iter().find(|(cid, _, _)| cid == id).map(|(_, m, _)| *m);
+        let verdict = match c_med {
+            None => Verdict::Missing,
+            Some(c) if is_regression(c, *b_med, *b_spr, margin) => Verdict::Regression,
+            Some(c) if is_improvement(c, *b_med, *b_spr, margin) => Verdict::Improved,
+            Some(_) => Verdict::Ok,
+        };
+        rows.push(Row {
+            id: id.clone(),
+            baseline: Some(*b_med),
+            current: c_med,
+            threshold: regression_threshold(*b_med, *b_spr, margin),
+            verdict,
+        });
     }
     for (id, c_med, _) in &cur {
         if !base.iter().any(|(bid, _, _)| bid == id) {
@@ -661,7 +571,7 @@ fn compare_records(baseline: &Json, current: &Json, margin: f64) -> Vec<Row> {
 fn print_table(rows: &[Row]) {
     println!(
         "{:<36} {:>12} {:>12} {:>12}   verdict",
-        "bench", "baseline", "current", "threshold"
+        "bench", "base", "current", "threshold"
     );
     let fmt = |v: Option<f64>| match v {
         Some(v) => format!("{v:.1}"),
@@ -673,79 +583,22 @@ fn print_table(rows: &[Row]) {
             row.id,
             fmt(row.baseline),
             fmt(row.current),
-            if row.threshold.is_finite() {
-                format!("{:.1}", row.threshold)
-            } else {
-                "-".to_string()
-            },
+            fmt(Some(row.threshold).filter(|t| t.is_finite())),
             row.verdict.label()
         );
     }
 }
 
-/// Whether two records were taken on fingerprint-identical hosts.
-fn hosts_match(a: &Json, b: &Json) -> bool {
-    a.get("host") == b.get("host")
-}
-
 fn cmd_check(opts: &CheckOpts) -> Result<i32, String> {
-    let current = latest_record(&opts.history)?;
-    let sha = record_sha(&current).to_string();
+    let base = read_record(&opts.base)?;
+    let current = read_record(&opts.current)?;
+    check_comparable(&base, &current)?;
 
-    if opts.update {
-        if record_is_dirty(&current) && !opts.allow_dirty {
-            return Err(format!(
-                "refusing to update {} from a dirty working tree (latest record {} has \
-                 dirty=true); commit first, re-run `tdc bench run`, or pass --allow-dirty",
-                opts.baseline.display(),
-                sha
-            ));
-        }
-        if let Some(dir) = opts.baseline.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-        std::fs::write(&opts.baseline, current.pretty())
-            .map_err(|e| format!("cannot write {}: {e}", opts.baseline.display()))?;
-        println!(
-            "tdc bench: baseline {} updated from record {}",
-            opts.baseline.display(),
-            sha
-        );
-        return Ok(0);
-    }
-
-    let text = std::fs::read_to_string(&opts.baseline).map_err(|e| {
-        format!(
-            "cannot read baseline {}: {e} (create one with `tdc bench check --update`)",
-            opts.baseline.display()
-        )
-    })?;
-    let baseline = Json::parse(&text)
-        .map_err(|e| format!("{}: malformed baseline: {e}", opts.baseline.display()))?;
-    validate_record(&baseline).map_err(|e| format!("{}: {e}", opts.baseline.display()))?;
-
-    let (b_scale, c_scale) = (
-        baseline.get("scale").and_then(Json::as_f64),
-        current.get("scale").and_then(Json::as_f64),
-    );
-    if b_scale != c_scale {
-        return Err(format!(
-            "scale mismatch: baseline {} was recorded at scale {:?} but the latest record \
-             {} used {:?}; re-run `tdc bench run --scale` to match or refresh the baseline",
-            opts.baseline.display(),
-            b_scale,
-            sha,
-            c_scale
-        ));
-    }
-
-    let gating = hosts_match(&baseline, &current) || opts.strict_host;
-    let rows = compare_records(&baseline, &current, opts.margin);
+    let rows = compare_records(&base, &current, opts.margin);
     println!(
-        "tdc bench check | record {} vs baseline {} | margin {:.0}%",
-        sha,
-        record_sha(&baseline),
+        "tdc bench check | base {} vs current {} | margin {:.0}%",
+        provenance(&base),
+        provenance(&current),
         opts.margin * 100.0
     );
     print_table(&rows);
@@ -760,95 +613,7 @@ fn cmd_check(opts: &CheckOpts) -> Result<i32, String> {
         regressions,
         improved
     );
-    if !gating {
-        println!(
-            "note: host fingerprint differs from the baseline; result is informational \
-             (pass --strict-host to gate anyway)"
-        );
-        return Ok(0);
-    }
-    Ok(if regressions > 0 { 1 } else { 0 })
-}
-
-// ---------------------------------------------------------------------------
-// tdc bench history
-// ---------------------------------------------------------------------------
-
-struct HistoryOpts {
-    history: PathBuf,
-    bench: Option<String>,
-}
-
-fn parse_history(args: &[String]) -> Result<HistoryOpts, String> {
-    let mut opts = HistoryOpts {
-        history: PathBuf::from("results").join(HISTORY_FILE),
-        bench: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .map(|s| s.to_string())
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--history" => opts.history = PathBuf::from(value("--history")?),
-            "--bench" => opts.bench = Some(value("--bench")?),
-            "-h" | "--help" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown 'tdc bench history' argument '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
-fn cmd_history(opts: &HistoryOpts) -> Result<(), String> {
-    let text = std::fs::read_to_string(&opts.history).map_err(|e| {
-        format!(
-            "cannot read {}: {e} (run `tdc bench run` first)",
-            opts.history.display()
-        )
-    })?;
-    let mut shown = 0usize;
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = Json::parse(line)
-            .map_err(|e| format!("{}:{}: malformed record: {e}", opts.history.display(), idx + 1))?;
-        let sha = record_sha(&record);
-        let mark = if record_is_dirty(&record) { "*" } else { " " };
-        let stats = bench_stats(&record);
-        match &opts.bench {
-            Some(bench) => {
-                if let Some((_, med, spr)) = stats.iter().find(|(id, _, _)| id == bench) {
-                    println!("{sha}{mark} {med:>12.1} ±{spr:<8.1} ns/op");
-                    shown += 1;
-                }
-            }
-            None => {
-                let medians: Vec<f64> =
-                    stats.iter().map(|(_, med, _)| *med).filter(|m| *m > 0.0).collect();
-                let scale = record.get("scale").and_then(Json::as_f64).unwrap_or(0.0);
-                println!(
-                    "{sha}{mark} scale {scale:<5} {:>3} benches   geomean {:>10.1} ns/op",
-                    stats.len(),
-                    geomean(&medians)
-                );
-                shown += 1;
-            }
-        }
-    }
-    if shown == 0 {
-        if let Some(bench) = &opts.bench {
-            return Err(format!(
-                "no record in {} contains bench '{bench}'",
-                opts.history.display()
-            ));
-        }
-        return Err(format!("{} has no records", opts.history.display()));
-    }
-    println!("({shown} records; * = dirty working tree)");
-    Ok(())
+    Ok(i32::from(regressions > 0))
 }
 
 // ---------------------------------------------------------------------------
@@ -856,50 +621,34 @@ fn cmd_history(opts: &HistoryOpts) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 /// Runs `tdc bench` with `args` (without the leading `bench`). Returns
-/// the process exit code.
+/// the process exit code: 0 on success, 1 on a failed run, a regression
+/// or a refused pair, 2 on a usage error.
 pub fn run(args: &[String]) -> i32 {
-    let fail = |msg: String| {
-        eprintln!("tdc bench: {msg}");
-        if msg == USAGE {
-            0
-        } else {
-            2
+    let (verb, outcome) = match args.first().map(String::as_str) {
+        Some("run") => ("run", parse_run(&args[1..]).map(|o| cmd_run(&o).map(|()| 0))),
+        Some("check") => ("check", parse_check(&args[1..]).map(|o| cmd_check(&o))),
+        Some(other) => {
+            eprintln!("tdc bench: unknown argument '{other}'\n\n{USAGE}");
+            return 2;
+        }
+        None => {
+            eprintln!("{USAGE}");
+            return 2;
         }
     };
-    match args.first().map(String::as_str) {
-        Some("run") => match parse_run(&args[1..]) {
-            Ok(opts) => match cmd_run(&opts) {
-                Ok(()) => 0,
-                Err(e) => {
-                    eprintln!("tdc bench run: {e}");
-                    1
-                }
-            },
-            Err(msg) => fail(msg),
-        },
-        Some("check") => match parse_check(&args[1..]) {
-            Ok(opts) => match cmd_check(&opts) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("tdc bench check: {e}");
-                    1
-                }
-            },
-            Err(msg) => fail(msg),
-        },
-        Some("history") => match parse_history(&args[1..]) {
-            Ok(opts) => match cmd_history(&opts) {
-                Ok(()) => 0,
-                Err(e) => {
-                    eprintln!("tdc bench history: {e}");
-                    1
-                }
-            },
-            Err(msg) => fail(msg),
-        },
-        _ => {
-            eprintln!("{USAGE}");
-            2
+    match outcome {
+        Ok(Ok(code)) => code,
+        Ok(Err(e)) => {
+            eprintln!("tdc bench {verb}: {e}");
+            1
+        }
+        Err(msg) => {
+            eprintln!("tdc bench: {msg}");
+            if msg == USAGE {
+                0
+            } else {
+                2
+            }
         }
     }
 }
@@ -947,30 +696,23 @@ mod tests {
     }
 
     #[test]
-    fn record_roundtrips_through_compact_jsonl() {
+    fn record_roundtrips_through_its_file_format() {
         let record = record_with(&[measured("g", "n", &[1.5, 2.5])]);
-        let line = record.to_compact();
-        assert!(!line.contains('\n'), "JSONL records must be single lines");
-        let back = Json::parse(&line).expect("round-trips");
+        let back = Json::parse(&record.pretty()).expect("round-trips");
         assert_eq!(record, back);
         assert!(validate_record(&back).is_ok());
     }
 
     #[test]
-    fn validate_rejects_foreign_and_empty_records() {
-        let mut wrong = record_with(&[measured("g", "n", &[1.0])]);
-        if let Json::Obj(pairs) = &mut wrong {
-            pairs[0].1 = Json::U64(RECORD_VERSION + 1);
-        }
-        assert!(validate_record(&wrong).is_err());
+    fn validate_rejects_unversioned_and_empty_records() {
         assert!(validate_record(&record_with(&[])).is_err());
         assert!(validate_record(&Json::obj([("x", Json::from(1u64))])).is_err());
     }
 
     #[test]
-    fn compare_flags_regressions_outside_combined_spread() {
+    fn compare_flags_regressions_outside_the_base_spread() {
         let base = record_with(&[measured("g", "fast", &[100.0, 102.0, 104.0])]);
-        // Median 110 vs baseline 102: inside 102 + (4+4) + 0.25*102.
+        // Median 110 vs base 102: inside 102 + 4 + 0.25*102.
         let ok = record_with(&[measured("g", "fast", &[106.0, 110.0, 114.0])]);
         let rows = compare_records(&base, &ok, 0.25);
         assert_eq!(rows.len(), 1);
@@ -983,6 +725,18 @@ mod tests {
         let quick = record_with(&[measured("g", "fast", &[50.0, 51.0, 52.0])]);
         let rows = compare_records(&base, &quick, 0.25);
         assert_eq!(rows[0].verdict, Verdict::Improved);
+    }
+
+    #[test]
+    fn a_uniform_slowdown_cannot_widen_its_own_band() {
+        // Base median 10, spread 20: the threshold is 10 + 20 + 2.5.
+        // Every current run ten times slower has median 100 and spread
+        // 200, which would lift a threshold that counted it to 232.5.
+        let base = record_with(&[measured("g", "noisy", &[10.0, 10.0, 30.0])]);
+        let slow = record_with(&[measured("g", "noisy", &[100.0, 100.0, 300.0])]);
+        let rows = compare_records(&base, &slow, 0.25);
+        assert_eq!(rows[0].threshold, 32.5);
+        assert_eq!(rows[0].verdict, Verdict::Regression);
     }
 
     #[test]
@@ -1044,31 +798,15 @@ mod tests {
     }
 
     #[test]
-    fn handicap_parser_accepts_lists_and_ignores_junk() {
-        let h = parse_handicap("a/b=2.0, c/d =3,junk,e=1,f/g=-1,h/i=x");
-        assert_eq!(
-            h,
-            vec![("a/b".to_string(), 2.0), ("c/d".to_string(), 3.0)]
-        );
-        let mut m = measured("a", "b", &[1.0, 2.0]);
-        apply_handicap(&mut m, &h);
-        assert_eq!(m.runs, vec![2.0, 4.0]);
-        let mut other = measured("x", "y", &[1.0]);
-        apply_handicap(&mut other, &h);
-        assert_eq!(other.runs, vec![1.0]);
-    }
-
-    #[test]
-    fn parse_check_flags() {
-        let args: Vec<String> = ["--baseline", "b.json", "--margin", "0.5", "--update", "--allow-dirty", "--strict-host"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = parse_check(&args).expect("valid flags");
-        assert_eq!(o.baseline, PathBuf::from("b.json"));
+    fn parse_check_takes_two_paths_and_a_margin() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let o = parse_check(&args(&["b.json", "--margin", "0.5", "c.json"])).expect("valid");
+        assert_eq!(o.base, PathBuf::from("b.json"));
+        assert_eq!(o.current, PathBuf::from("c.json"));
         assert_eq!(o.margin, 0.5);
-        assert!(o.update && o.allow_dirty && o.strict_host);
-        assert!(parse_check(&["--margin".into(), "-1".into()]).is_err());
-        assert!(parse_check(&["--bogus".into()]).is_err());
+        assert!(parse_check(&args(&["b.json", "c.json", "--margin", "-1"])).is_err());
+        assert!(parse_check(&args(&["b.json"])).is_err());
+        assert!(parse_check(&args(&["a", "b", "c"])).is_err());
+        assert!(parse_check(&args(&["b.json", "c.json", "--update"])).is_err());
     }
 }

@@ -62,11 +62,10 @@ COMMANDS:
                 it requires). Copy every shard's cell-*.json into one
                 directory and run 'tdc all --cache-dir' on it to get
                 the figures without re-simulating
-    bench run|check|history
-                Commit-stamped performance history: run the measurement
-                kernels, gate against a checked-in baseline with
-                noise-aware thresholds, or render the trajectory
-                ('tdc bench -h')
+    bench run|check
+                Host-time performance: run the measurement kernels into
+                one record, or compare two records from one host with
+                noise-aware thresholds ('tdc bench -h')
 
 OPTIONS:
     --jobs N    Worker threads (default: available CPU parallelism)

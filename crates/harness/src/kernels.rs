@@ -3,8 +3,8 @@
 //! One list of measurement kernels — the component costs the paper's
 //! design arguments hinge on (tagless vs SRAM-tag access path, DRAM
 //! controller throughput, replacement machinery, trace generation) —
-//! consumed by `tdc bench run` ([`crate::bench`]), which adds commit
-//! stamping, history tracking, and the noise-aware regression gate.
+//! consumed by `tdc bench run` ([`crate::bench`]), which adds the
+//! commit stamp, the record file and the same-host comparison.
 //!
 //! Timing uses `std::time::Instant` over a fixed iteration budget
 //! (no external benchmarking crate; the container builds offline) and
@@ -29,7 +29,7 @@ use tdc_dram_cache::{L3System, SramTagCache, SystemParams, TaglessCache, VictimP
 use tdc_sram_cache::{CacheGeometry, Replacement, SetAssocCache};
 use tdc_trace::{profiles, SyntheticWorkload, TraceSource};
 use tdc_util::obs::LogHistogram;
-use tdc_util::{Pcg32, Rng, Vpn, Zipf};
+use tdc_util::{Pcg32, Rng, Vpn, Zipf, PAGE_SIZE};
 
 /// The stability contract: medians of the two most recent
 /// `STABLE_WINDOW`-run windows within `STABLE_TOLERANCE` of each other
@@ -52,8 +52,7 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// The stable `group/name` identifier used in bench records,
-    /// baselines, and the `TDC_BENCH_HANDICAP` test hook.
+    /// The stable `group/name` identifier used in bench records.
     pub fn id(&self) -> String {
         format!("{}/{}", self.group, self.name)
     }
@@ -236,8 +235,8 @@ pub fn micro_kernels() -> Vec<Kernel> {
     ]
 }
 
-fn small_params() -> SystemParams {
-    let mut p = SystemParams::with_cache_capacity(64 << 20);
+fn one_core(cache_bytes: u64) -> SystemParams {
+    let mut p = SystemParams::with_cache_capacity(cache_bytes);
     p.cores = 1;
     p.core_asid = vec![0];
     p
@@ -280,7 +279,7 @@ fn k_page_fill_4kb() -> Box<dyn FnMut() -> u64> {
 /// The headline comparison: one translate+access on the tagless path,
 /// warm state.
 fn k_tagless_warm_hit() -> Box<dyn FnMut() -> u64> {
-    let p = small_params();
+    let p = one_core(64 << 20);
     let mut l3 = TaglessCache::new(&p, VictimPolicy::Fifo);
     for v in 0..16u64 {
         l3.translate(v * 10_000, 0, Vpn(v), false);
@@ -298,7 +297,7 @@ fn k_tagless_warm_hit() -> Box<dyn FnMut() -> u64> {
 
 /// The same translate+access on the SRAM-tag baseline path.
 fn k_sram_tag_warm_hit() -> Box<dyn FnMut() -> u64> {
-    let p = small_params();
+    let p = one_core(64 << 20);
     let mut l3 = SramTagCache::new(&p);
     for v in 0..16u64 {
         let tr = l3.translate(v * 10_000, 0, Vpn(v), false);
@@ -315,13 +314,18 @@ fn k_sram_tag_warm_hit() -> Box<dyn FnMut() -> u64> {
     })
 }
 
+/// The tagless miss path: a 4,096-slot (16 MB) cache cycled through
+/// four times as many pages, so once warm every call misses the cTLB
+/// and the cache, fills one page and evicts one, while the page table
+/// stops growing after the first pass.
 fn k_tagless_cold_fill() -> Box<dyn FnMut() -> u64> {
-    let p = small_params();
+    const SLOTS: u64 = 4096;
+    let p = one_core(SLOTS * PAGE_SIZE);
     let mut l3 = TaglessCache::new(&p, VictimPolicy::Fifo);
     let mut now = 0u64;
     let mut v = 0u64;
     Box::new(move || {
-        let tr = l3.translate(now, 0, Vpn(v), false);
+        let tr = l3.translate(now, 0, Vpn(v % (4 * SLOTS)), false);
         now += tr.penalty + 100;
         v += 1;
         tr.penalty

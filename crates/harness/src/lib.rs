@@ -40,9 +40,9 @@
 //!   simulates nothing (DESIGN.md §10).
 //! * [`kernels`] — the micro-benchmark kernel registry and
 //!   repeat-until-stable timing loop behind `tdc bench`.
-//! * [`mod@bench`] — `tdc bench run/check/history`: commit-stamped
-//!   performance history with a noise-aware regression gate
-//!   (DESIGN.md §11).
+//! * [`mod@bench`] — `tdc bench run/check`: one commit-stamped
+//!   performance record per run, and a noise-aware comparison of two
+//!   records from one host (DESIGN.md §11).
 //!
 //! # Example
 //!

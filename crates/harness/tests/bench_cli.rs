@@ -1,21 +1,25 @@
-//! End-to-end contract of `tdc bench run/check/history`:
+//! End-to-end contract of `tdc bench run` and `tdc bench check`.
 //!
-//! * `run` twice on the same (clean) commit appends two stamped
-//!   records whose medians agree within the recorded spread, so
-//!   `check` passes against a freshly written baseline;
-//! * an artificially slowed kernel (`TDC_BENCH_HANDICAP`, test-only)
-//!   makes `check` exit non-zero with a per-bench REGRESSION report;
-//! * a dirty working tree stamps `"dirty": true` and `check --update`
-//!   refuses to write a baseline from it (golden-filed message,
-//!   regenerate with `TDC_UPDATE_GOLDEN=1 cargo test -p tdc-harness
-//!   --test bench_cli`).
+//! Every gate assertion reads crafted record files, so no verdict here
+//! depends on a measured time:
 //!
-//! Every test works inside its own throwaway git repository so commit
-//! stamping is exercised for real, not mocked.
+//! * identical records pass, one bench ten times slower is the one
+//!   REGRESSION, and a bench missing from CURRENT fails as MISSING;
+//! * a pair from another host, at another scale or in another format,
+//!   and a malformed file, are refused (exit 1) with a message naming
+//!   the mismatch;
+//! * a removed or unknown argument is a usage error (exit 2).
+//!
+//! Real `tdc bench run`s check only what timing cannot move: the
+//! record's fields and their order, that every kernel and figure cell
+//! is present, and the commit stamp, inside throwaway git repositories
+//! so stamping is exercised for real, not mocked.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
+use tdc_harness::bench::{BENCH_FIELDS, RECORD_FIELDS, RECORD_VERSION};
+use tdc_harness::kernels::micro_kernels;
 use tdc_util::Json;
 
 /// Timing knobs that keep the kernels fast without changing the code
@@ -26,16 +30,202 @@ const FAST_ENV: [(&str, &str); 3] = [
     ("TDC_BENCH_MAX_RUNS", "3"),
 ];
 
-fn tdc(args: &[&str], cwd: &Path, extra_env: &[(&str, &str)]) -> std::process::Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_tdc"));
-    cmd.args(args).current_dir(cwd).env_remove("TDC_BENCH_HANDICAP");
-    for (k, v) in FAST_ENV.iter().chain(extra_env) {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("tdc runs")
+/// The figure cells every record carries after the micro kernels.
+const FIGURE_IDS: [&str; 3] = ["figure/mcf_ctlb", "figure/mcf_nol3", "figure/libquantum_sram"];
+
+fn tdc(args: &[&str], cwd: &Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tdc"))
+        .args(args)
+        .current_dir(cwd)
+        .envs(FAST_ENV)
+        .output()
+        .expect("tdc runs")
 }
 
-fn git(args: &[&str], cwd: &Path) {
+/// A fresh, empty directory for one test.
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bench-cli-{name}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+// ---------------------------------------------------------------------------
+// tdc bench check, on crafted records
+// ---------------------------------------------------------------------------
+
+/// What a crafted record varies; every other field is fixed.
+struct Craft {
+    sha: &'static str,
+    format_version: u64,
+    cpus: u64,
+    scale: f64,
+    /// `(group/name, median ns/op)`; each spread is 2% of its median.
+    benches: Vec<(&'static str, f64)>,
+}
+
+fn base() -> Craft {
+    Craft {
+        sha: "aaaaaaaaaaaa",
+        format_version: RECORD_VERSION,
+        cpus: 2,
+        scale: 0.01,
+        benches: vec![
+            ("trace_gen/mcf", 70.0),
+            ("access_path/tagless_warm_hit", 27.0),
+            ("figure/mcf_ctlb", 1200.0),
+        ],
+    }
+}
+
+impl Craft {
+    fn text(&self) -> String {
+        let benches = self
+            .benches
+            .iter()
+            .map(|&(id, median)| {
+                let (group, name) = id.split_once('/').expect("group/name id");
+                Json::obj([
+                    ("kind", Json::from("micro")),
+                    ("group", Json::from(group)),
+                    ("name", Json::from(name)),
+                    ("iters", Json::from(1000u64)),
+                    ("runs", Json::from(3u64)),
+                    ("ns_per_op_median", Json::from(median)),
+                    ("ns_per_op_spread", Json::from(median * 0.02)),
+                    ("ns_per_op_min", Json::from(median * 0.99)),
+                    ("ns_per_op_max", Json::from(median * 1.01)),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("format_version", Json::from(self.format_version)),
+            ("git_sha", Json::from(self.sha)),
+            ("dirty", Json::from(false)),
+            ("scale", Json::from(self.scale)),
+            (
+                "host",
+                Json::obj([
+                    ("os", Json::from("linux")),
+                    ("arch", Json::from("x86_64")),
+                    ("cpus", Json::from(self.cpus)),
+                ]),
+            ),
+            ("timing", Json::obj([("min_runs", 3u64), ("max_runs", 10u64)])),
+            ("benches", Json::Arr(benches)),
+        ])
+        .pretty()
+    }
+}
+
+/// `tdc bench check` on two record texts written into a fresh
+/// directory: `(exit code, stdout, stderr)`.
+fn check(name: &str, base: &str, current: &str) -> (i32, String, String) {
+    let dir = temp_dir(name);
+    fs::write(dir.join("base.json"), base).expect("base written");
+    fs::write(dir.join("cur.json"), current).expect("current written");
+    let out = tdc(&["bench", "check", "base.json", "cur.json"], &dir);
+    let _ = fs::remove_dir_all(&dir);
+    (
+        out.status.code().unwrap_or(-1),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn identical_records_pass() {
+    let text = base().text();
+    let (code, stdout, stderr) = check("identical", &text, &text);
+    assert_eq!(code, 0, "identical records must pass:\n{stdout}{stderr}");
+    assert!(stdout.contains("3 compared, 0 regressed"), "{stdout}");
+    assert!(!stdout.contains("REGRESSION"), "{stdout}");
+}
+
+#[test]
+fn one_bench_ten_times_slower_is_the_one_regression() {
+    let mut slow = base();
+    slow.sha = "bbbbbbbbbbbb";
+    slow.benches[0].1 *= 10.0;
+    let (code, stdout, stderr) = check("slower", &base().text(), &slow.text());
+    assert_eq!(code, 1, "a 10x slowdown must fail:\n{stdout}{stderr}");
+    let flagged: Vec<&str> = stdout.lines().filter(|l| l.contains("REGRESSION")).collect();
+    assert_eq!(flagged.len(), 1, "exactly one regression expected:\n{stdout}");
+    assert!(flagged[0].starts_with("trace_gen/mcf "), "wrong bench flagged:\n{stdout}");
+    assert!(stdout.contains("1 regressed"), "summary line missing:\n{stdout}");
+    let header = stdout.lines().next().unwrap_or_default();
+    assert!(
+        header.contains("aaaaaaaaaaaa") && header.contains("bbbbbbbbbbbb"),
+        "check must name both records' commits: {header}"
+    );
+}
+
+#[test]
+fn a_bench_missing_from_current_fails() {
+    let mut fewer = base();
+    fewer.benches.remove(1);
+    let (code, stdout, stderr) = check("missing", &base().text(), &fewer.text());
+    assert_eq!(code, 1, "a dropped bench must fail:\n{stdout}{stderr}");
+    let missing: Vec<&str> = stdout.lines().filter(|l| l.contains("MISSING")).collect();
+    assert_eq!(missing.len(), 1, "{stdout}");
+    assert!(missing[0].starts_with("access_path/tagless_warm_hit "), "{stdout}");
+}
+
+#[test]
+fn pairs_that_measure_different_things_are_refused() {
+    let other_host = Craft { cpus: 4, ..base() };
+    let other_scale = Craft { scale: 0.02, ..base() };
+    let other_format = Craft {
+        format_version: RECORD_VERSION - 1,
+        ..base()
+    };
+    let cases = [
+        ("host", other_host.text(), "host mismatch"),
+        ("scale", other_scale.text(), "scale mismatch"),
+        ("format", other_format.text(), "format_version mismatch"),
+        ("malformed", "{\"format_version\": ".to_string(), "malformed record"),
+    ];
+    for (name, current, why) in cases {
+        let (code, stdout, stderr) = check(name, &base().text(), &current);
+        assert_eq!(code, 1, "{name}: the pair must be refused:\n{stdout}{stderr}");
+        assert!(stderr.contains(why), "{name}: message must say '{why}':\n{stderr}");
+        assert!(!stdout.contains("compared"), "{name}: refused pair was compared:\n{stdout}");
+    }
+}
+
+#[test]
+fn removed_and_unknown_arguments_are_usage_errors() {
+    let dir = temp_dir("usage");
+    let cases: [&[&str]; 7] = [
+        &["bench", "history"],
+        &["bench", "check", "a.json", "b.json", "--update"],
+        &["bench", "check", "--history", "h.jsonl", "a.json"],
+        &["bench", "check", "--baseline", "a.json", "b.json"],
+        &["bench", "check", "a.json"],
+        &["bench", "check", "a.json", "b.json", "--bogus"],
+        &["bench", "run", "--bogus"],
+    ];
+    for args in cases {
+        let out = tdc(args, &dir);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} must be a usage error:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    assert!(
+        !dir.join("results").exists(),
+        "a usage error must not run the benches"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// tdc bench run, on what timing cannot move
+// ---------------------------------------------------------------------------
+
+fn git(args: &[&str], cwd: &Path) -> String {
     let out = Command::new("git")
         .args(["-c", "user.email=bench@test", "-c", "user.name=bench"])
         .args(args)
@@ -47,30 +237,13 @@ fn git(args: &[&str], cwd: &Path) {
         "git {args:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    String::from_utf8_lossy(&out.stdout).trim().to_string()
 }
 
-/// Creates a throwaway git repo with one committed file and returns
-/// `(repo dir, short sha)`.
-fn setup_repo(name: &str) -> (PathBuf, String) {
-    let dir = std::env::temp_dir().join(format!("bench-cli-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("temp dir");
-    git(&["init", "-q"], &dir);
-    fs::write(dir.join("tracked.txt"), "v1\n").expect("tracked file");
-    git(&["add", "tracked.txt"], &dir);
-    git(&["commit", "-q", "-m", "seed"], &dir);
-    let out = Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .current_dir(&dir)
-        .output()
-        .expect("git rev-parse runs");
-    let sha = String::from_utf8_lossy(&out.stdout).trim().to_string();
-    assert!(!sha.is_empty(), "no sha from rev-parse");
-    (dir, sha)
-}
-
-fn bench_run(dir: &Path, extra_env: &[(&str, &str)]) {
-    let out = tdc(&["bench", "run", "--scale", "0.001", "--quiet"], dir, extra_env);
+fn bench_run(dir: &Path, extra: &[&str]) {
+    let mut args = vec!["bench", "run", "--scale", "0.001", "--quiet"];
+    args.extend(extra);
+    let out = tdc(&args, dir);
     assert!(
         out.status.success(),
         "tdc bench run failed: {}",
@@ -78,155 +251,54 @@ fn bench_run(dir: &Path, extra_env: &[(&str, &str)]) {
     );
 }
 
-fn history_records(dir: &Path) -> Vec<Json> {
-    let text = fs::read_to_string(dir.join("results/bench-history.jsonl"))
-        .expect("history readable");
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| Json::parse(l).expect("record parses"))
-        .collect()
+fn keys(obj: &Json) -> Vec<&str> {
+    let Json::Obj(pairs) = obj else {
+        panic!("expected an object, got {obj}")
+    };
+    pairs.iter().map(|(k, _)| k.as_str()).collect()
+}
+
+fn read_json(path: &Path) -> Json {
+    let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    Json::parse(&text).expect("record parses")
 }
 
 #[test]
-fn run_twice_then_check_passes_against_fresh_baseline() {
-    let (dir, sha) = setup_repo("e2e");
-    bench_run(&dir, &[]);
-    bench_run(&dir, &[]);
-
-    let records = history_records(&dir);
-    assert_eq!(records.len(), 2, "each run must append one record");
-    for r in &records {
-        assert_eq!(r.get("git_sha").and_then(Json::as_str), Some(sha.as_str()));
-        assert_eq!(r.get("dirty"), Some(&Json::Bool(false)), "clean tree stamped dirty");
-        let Some(Json::Arr(benches)) = r.get("benches") else {
-            panic!("record has no benches array")
-        };
-        assert!(benches.len() >= 14, "only {} benches recorded", benches.len());
-    }
-    let stamp = dir.join(format!("BENCH_{sha}.json"));
-    let stamped = Json::parse(&fs::read_to_string(&stamp).expect("stamp readable"))
-        .expect("stamp parses");
-    assert_eq!(&stamped, records.last().expect("two records"));
-
-    // Baseline from the first record's commit... which is the same
-    // commit; `check` must pass: medians agree within the recorded
-    // spread plus margin.
-    let update = tdc(&["bench", "check", "--update"], &dir, &[]);
-    assert!(
-        update.status.success(),
-        "check --update failed: {}",
-        String::from_utf8_lossy(&update.stderr)
-    );
-    assert!(dir.join("baselines/bench-baseline.json").exists());
-    let check = tdc(&["bench", "check", "--margin", "0.5"], &dir, &[]);
-    assert!(
-        check.status.success(),
-        "check regressed on an unchanged commit:\n{}{}",
-        String::from_utf8_lossy(&check.stdout),
-        String::from_utf8_lossy(&check.stderr)
-    );
-    let table = String::from_utf8_lossy(&check.stdout);
-    assert!(table.contains("trace_gen/mcf"), "table missing a micro bench");
-    assert!(table.contains("figure/mcf_ctlb"), "table missing a figure cell");
-    assert!(!table.contains("REGRESSION"), "spurious regression:\n{table}");
-
-    let history = tdc(&["bench", "history"], &dir, &[]);
-    assert!(history.status.success());
-    let rendered = String::from_utf8_lossy(&history.stdout);
-    assert!(rendered.contains(&sha), "history does not show the sha:\n{rendered}");
-    assert!(rendered.contains("(2 records"), "history miscounts:\n{rendered}");
-    let one = tdc(&["bench", "history", "--bench", "trace_gen/mcf"], &dir, &[]);
-    assert!(one.status.success());
-    assert_eq!(
-        String::from_utf8_lossy(&one.stdout).matches(&sha).count(),
-        2,
-        "per-bench history must show one line per record"
-    );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn handicapped_kernel_fails_the_gate_with_a_report() {
-    let (dir, _sha) = setup_repo("handicap");
-    bench_run(&dir, &[]);
-    let update = tdc(&["bench", "check", "--update"], &dir, &[]);
-    assert!(update.status.success());
-
-    // Slow one kernel 10x after the fact; everything else unchanged.
-    bench_run(&dir, &[("TDC_BENCH_HANDICAP", "trace_gen/mcf=10")]);
-    let check = tdc(&["bench", "check", "--margin", "0.5"], &dir, &[]);
-    assert_eq!(
-        check.status.code(),
-        Some(1),
-        "handicapped check must exit 1:\n{}{}",
-        String::from_utf8_lossy(&check.stdout),
-        String::from_utf8_lossy(&check.stderr)
-    );
-    let table = String::from_utf8_lossy(&check.stdout);
-    let flagged = table
-        .lines()
-        .filter(|l| l.contains("REGRESSION"))
-        .collect::<Vec<_>>();
-    assert_eq!(flagged.len(), 1, "exactly one regression expected:\n{table}");
-    assert!(flagged[0].contains("trace_gen/mcf"), "wrong bench flagged:\n{table}");
-    assert!(table.contains("1 regressed"), "summary line missing:\n{table}");
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn dirty_tree_is_stamped_and_baseline_update_refuses() {
-    let (dir, sha) = setup_repo("dirty");
-    fs::write(dir.join("tracked.txt"), "v2: modified, not committed\n")
-        .expect("dirty the tree");
-    bench_run(&dir, &[]);
-    let records = history_records(&dir);
-    assert_eq!(records[0].get("dirty"), Some(&Json::Bool(true)), "dirty tree not stamped");
-
-    let refuse = tdc(&["bench", "check", "--update"], &dir, &[]);
-    assert_eq!(refuse.status.code(), Some(1), "dirty --update must fail");
-    assert!(!dir.join("baselines/bench-baseline.json").exists());
-    let stderr = String::from_utf8_lossy(&refuse.stderr).replace(&sha, "<SHA>");
-    let rendered = format!("exit: {}\n{stderr}", refuse.status.code().unwrap_or(-1));
-    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/bench_update_dirty_refusal.txt");
-    if std::env::var("TDC_UPDATE_GOLDEN").is_ok() {
-        fs::write(&golden, &rendered).expect("golden written");
-    } else {
-        let want = fs::read_to_string(&golden).unwrap_or_else(|e| {
-            panic!(
-                "cannot read {} (set TDC_UPDATE_GOLDEN=1 to create): {e}",
-                golden.display()
-            )
-        });
-        assert_eq!(
-            rendered, want,
-            "dirty-refusal message drifted (TDC_UPDATE_GOLDEN=1 regenerates)"
-        );
-    }
-
-    // The escape hatch for bootstrap and intentional refreshes.
-    let forced = tdc(&["bench", "check", "--update", "--allow-dirty"], &dir, &[]);
-    assert!(
-        forced.status.success(),
-        "--allow-dirty failed: {}",
-        String::from_utf8_lossy(&forced.stderr)
-    );
-    assert!(dir.join("baselines/bench-baseline.json").exists());
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn untracked_files_do_not_dirty_the_stamp() {
-    let (dir, _sha) = setup_repo("untracked");
-    // The stamp and history themselves are untracked artifacts; if
-    // they counted as dirt, every second run would be "dirty".
+fn run_writes_one_complete_stamped_record() {
+    let dir = temp_dir("run");
+    git(&["init", "-q"], &dir);
+    fs::write(dir.join("tracked.txt"), "v1\n").expect("tracked file");
+    git(&["add", "tracked.txt"], &dir);
+    git(&["commit", "-q", "-m", "seed"], &dir);
+    let sha = git(&["rev-parse", "--short=12", "HEAD"], &dir);
+    // Untracked files, the record among them, must not dirty the stamp.
     fs::write(dir.join("untracked.txt"), "scratch\n").expect("untracked file");
+
     bench_run(&dir, &[]);
-    let records = history_records(&dir);
-    assert_eq!(
-        records[0].get("dirty"),
-        Some(&Json::Bool(false)),
-        "untracked files must not dirty the record"
-    );
+    let record = read_json(&dir.join("results/bench.json"));
+    assert_eq!(keys(&record), RECORD_FIELDS, "record fields or their order drifted");
+    assert_eq!(record.get("format_version").and_then(Json::as_u64), Some(RECORD_VERSION));
+    assert_eq!(record.get("git_sha").and_then(Json::as_str), Some(sha.as_str()));
+    assert_eq!(record.get("dirty"), Some(&Json::Bool(false)), "untracked files dirtied the stamp");
+    let Some(Json::Arr(benches)) = record.get("benches") else {
+        panic!("record has no benches array")
+    };
+    let mut ids = Vec::new();
+    for bench in benches {
+        assert_eq!(keys(bench), BENCH_FIELDS, "bench entry fields or their order drifted");
+        let field = |k: &str| bench.get(k).and_then(Json::as_str).unwrap_or_default().to_string();
+        ids.push(format!("{}/{}", field("group"), field("name")));
+    }
+    let want: Vec<String> = micro_kernels()
+        .iter()
+        .map(|k| k.id())
+        .chain(FIGURE_IDS.iter().map(|id| id.to_string()))
+        .collect();
+    assert_eq!(ids, want, "a kernel or figure cell is missing from the record");
+
+    fs::write(dir.join("tracked.txt"), "v2: modified, not committed\n").expect("dirty the tree");
+    bench_run(&dir, &["--out", "dirty.json"]);
+    let dirty = read_json(&dir.join("dirty.json"));
+    assert_eq!(dirty.get("dirty"), Some(&Json::Bool(true)), "a tracked edit was not stamped");
     let _ = fs::remove_dir_all(&dir);
 }

@@ -10,9 +10,9 @@
 //!   from a single `u64` seed, across crate versions.
 //! * [`dist`] — the distributions the workload generators need (uniform,
 //!   Zipf, geometric, Bernoulli, weighted choice).
-//! * [`stats`] — streaming statistics (mean/variance via Welford),
-//!   histograms, geometric means, and the bench-timing stability
-//!   predicate used by the experiment reports.
+//! * [`stats`] — geometric means and medians for the experiment
+//!   reports, plus the bench-timing stability predicate and the
+//!   regression threshold behind `tdc bench check`.
 //! * [`hash`] — stable FNV-1a string hashing ([`fnv1a_64`]) and the
 //!   hash-based shard assignment ([`shard_of`]) behind `tdc shard`;
 //!   stability across processes and releases is part of the contract.
@@ -82,5 +82,4 @@ pub use obs::{LogHistogram, PoolTelemetry, ProfProbe, ProfRecorder};
 pub use pool::run_tasks;
 pub use probe::{EventGroup, NoProbe, Phase, Probe, ProbeEvent, Recorder, SharedProbe};
 pub use rng::{Pcg32, Rng, SplitMix64};
-pub use stats::{geomean, Histogram, RunningStats};
-pub use stats::{is_improvement, is_regression, median, regression_threshold, spread};
+pub use stats::{geomean, is_improvement, is_regression, median, regression_threshold, spread};

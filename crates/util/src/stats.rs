@@ -1,198 +1,6 @@
-//! Streaming statistics and small numeric helpers for experiment reports.
-
-use std::fmt;
-
-/// Numerically stable streaming mean/variance accumulator (Welford).
-///
-/// # Examples
-///
-/// ```
-/// use tdc_util::RunningStats;
-/// let mut s = RunningStats::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance; 0 when fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for RunningStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.4} sd={:.4}",
-            self.count,
-            self.mean(),
-            self.std_dev()
-        )
-    }
-}
-
-/// Fixed-bucket histogram over `u64` values.
-///
-/// Values at or beyond the last bucket boundary are counted in an
-/// overflow bucket.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given ascending bucket upper bounds.
-    ///
-    /// A value `v` falls into the first bucket whose bound is `> v`;
-    /// values `>=` the final bound go to the overflow bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn new(bounds: &[u64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        Self {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            total: 0,
-        }
-    }
-
-    /// Records a value.
-    pub fn record(&mut self, v: u64) {
-        let idx = match self.bounds.iter().position(|&b| v < b) {
-            Some(i) => i,
-            None => self.bounds.len(),
-        };
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of recorded values.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Per-bucket counts; the final element is the overflow bucket.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Approximate quantile: the upper bound of the bucket containing the
-    /// `q`-quantile observation, or `None` when empty. `q` is clamped to
-    /// `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "a rank within the sample count"
-        )]
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Some(*self.bounds.get(i).unwrap_or(&u64::MAX));
-            }
-        }
-        Some(u64::MAX)
-    }
-}
+//! Small numeric helpers for experiment reports and the bench comparison:
+//! geometric mean, median, spread, the repeat-until-stable predicate and
+//! the regression threshold.
 
 /// Geometric mean of positive values; returns 0 for an empty slice.
 ///
@@ -301,80 +109,6 @@ pub fn is_improvement(current: f64, median: f64, spread: f64, margin: f64) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_stats_mean_and_variance() {
-        let mut s = RunningStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn running_stats_empty_is_safe() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn running_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new(&[10, 100, 1000]);
-        h.record(5);
-        h.record(10);
-        h.record(99);
-        h.record(100);
-        h.record(5000);
-        assert_eq!(h.counts(), &[1, 2, 1, 1]);
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn histogram_quantile() {
-        let mut h = Histogram::new(&[10, 20, 30]);
-        for _ in 0..90 {
-            h.record(5);
-        }
-        for _ in 0..10 {
-            h.record(25);
-        }
-        assert_eq!(h.quantile(0.5), Some(10));
-        assert_eq!(h.quantile(0.95), Some(30));
-        assert_eq!(Histogram::new(&[1]).quantile(0.5), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn histogram_rejects_unsorted_bounds() {
-        let _ = Histogram::new(&[10, 5]);
-    }
 
     #[test]
     fn geomean_basics() {

@@ -60,27 +60,17 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
 /// Fewest kernel calls per counted window.
 const KERNEL_WINDOW: u64 = 20_000;
 
-/// Kernels that may allocate once warm, and why. `Some(n)`: the second
-/// counted window may add at most `n`; `None`: the kernel is exempt.
-const KERNEL_EXCEPTIONS: [(&str, Option<u64>, &str); 2] = [
-    (
-        "access_path/tagless_cold_fill",
-        Some(16),
-        "every call first-touches a new page, so the page table grows; \
-         its vectors and index double, which adds a few allocations per window",
-    ),
-    (
-        "pool/steal_imbalanced",
-        None,
-        "it spawns its workers and builds the batch's cursors and result \
-         vectors on every call: the scheduler's own cost, not a simulator path",
-    ),
-];
+/// Kernels exempt from the check, and why.
+const KERNEL_EXCEPTIONS: [(&str, &str); 1] = [(
+    "pool/steal_imbalanced",
+    "it spawns its workers and builds the batch's cursors and result \
+     vectors on every call: the scheduler's own cost, not a simulator path",
+)];
 
 #[test]
 fn warm_bench_kernels_do_not_allocate() {
     let kernels = micro_kernels();
-    for (id, _, _) in KERNEL_EXCEPTIONS {
+    for (id, _) in KERNEL_EXCEPTIONS {
         assert!(
             kernels.iter().any(|k| k.id() == id),
             "allocation exception names no kernel: {id}"
@@ -88,8 +78,7 @@ fn warm_bench_kernels_do_not_allocate() {
     }
     for kernel in &kernels {
         let id = kernel.id();
-        let exception = KERNEL_EXCEPTIONS.iter().find(|(e, _, _)| *e == id);
-        if let Some((_, None, _)) = exception {
+        if KERNEL_EXCEPTIONS.iter().any(|(e, _)| *e == id) {
             continue;
         }
         let mut f = kernel.instantiate();
@@ -111,12 +100,8 @@ fn warm_bench_kernels_do_not_allocate() {
             .0
         };
         let counts = [window(), window()];
-        let allowed = match exception {
-            Some((_, Some(bound), _)) => counts[1] <= *bound,
-            _ => counts == [0, 0],
-        };
         assert!(
-            allowed,
+            counts == [0, 0],
             "kernel {id} allocated {counts:?} times in two windows of {calls} warm calls"
         );
     }

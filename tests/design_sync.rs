@@ -119,7 +119,7 @@ struct Schema {
 /// DESIGN.md section order (§11, §12, §13, §16).
 const SCHEMAS: [Schema; 4] = [
     Schema {
-        anchor: "bench-history.jsonl",
+        anchor: "bench-record",
         version: RECORD_VERSION,
         fields: &RECORD_FIELDS,
     },
